@@ -2,10 +2,12 @@
    shortcuts, run part-wise aggregation and MST, and inspect the Fig 3.2
    lower-bound topology.
 
-   Graph family syntax (for --graph):
-     grid:S        S x S planar grid
+   Graph family syntax (for --graph, graph gen, bcast and shards):
+     grid:R[,C]    R x C planar grid (square when C is omitted)
      torus:S       S x S torus
      wheel:N       wheel on N vertices
+     tree:N        uniform random tree on N vertices
+     pa:N,M0       preferential attachment, M0 edges per new vertex
      ktree:K,N     random k-tree
      clique:B,S    B grid blocks of side S, pairwise connected
      er:N,P        connected Erdos-Renyi G(N, P)
@@ -13,51 +15,101 @@
 
    Partition syntax (for --parts):
      rows          grid rows (grid/torus/lbg only)
-     voronoi:K     K-cell BFS Voronoi
+     voronoi:K     K-cell BFS Voronoi, 1 <= K <= n
      whole         a single part
-     singletons    every vertex alone *)
+     singletons    every vertex alone
+
+   A malformed family or partition spec exits 2 with a message naming
+   it. *)
 
 open Core
 open Cmdliner
 
 type family =
-  | Grid of int
+  | Grid of int * int
   | Torus of int
   | Wheel of int
+  | Tree of int
+  | Pa of int * int
   | Ktree of int * int
   | Clique of int * int
   | Er of int * float
   | Lbg of int * int
 
+(* Every size is an integer >= 1, and each family's own generator
+   precondition is checked here, so a parsed family always builds. *)
 let parse_family s =
+  let ( let* ) = Result.bind in
+  let size x =
+    match int_of_string_opt x with
+    | Some v when v >= 1 -> Ok v
+    | Some v -> Error (Printf.sprintf "size %d is below 1" v)
+    | None -> Error (Printf.sprintf "%S is not an integer" x)
+  in
+  let need ok msg = if ok then Ok () else Error msg in
+  let two usage v =
+    match String.split_on_char ',' v with
+    | [ a; b ] ->
+        let* a = size a in
+        let* b = size b in
+        Ok (a, b)
+    | _ -> Error ("expected " ^ usage)
+  in
   match String.split_on_char ':' s with
-  | [ "grid"; v ] -> Ok (Grid (int_of_string v))
-  | [ "torus"; v ] -> Ok (Torus (int_of_string v))
-  | [ "wheel"; v ] -> Ok (Wheel (int_of_string v))
-  | [ "ktree"; kv ] -> (
-      match String.split_on_char ',' kv with
-      | [ k; n ] -> Ok (Ktree (int_of_string k, int_of_string n))
-      | _ -> Error "ktree:K,N")
-  | [ "clique"; kv ] -> (
-      match String.split_on_char ',' kv with
-      | [ b; s ] -> Ok (Clique (int_of_string b, int_of_string s))
-      | _ -> Error "clique:B,S")
-  | [ "er"; kv ] -> (
-      match String.split_on_char ',' kv with
-      | [ n; p ] -> Ok (Er (int_of_string n, float_of_string p))
-      | _ -> Error "er:N,P")
-  | [ "lbg"; kv ] -> (
-      match String.split_on_char ',' kv with
-      | [ d; dd ] -> Ok (Lbg (int_of_string d, int_of_string dd))
-      | _ -> Error "lbg:DELTA',D'")
+  | [ "grid"; v ] -> (
+      match String.split_on_char ',' v with
+      | [ r ] ->
+          let* r = size r in
+          Ok (Grid (r, r))
+      | _ ->
+          let* r, c = two "grid:R[,C]" v in
+          Ok (Grid (r, c)))
+  | [ "torus"; v ] ->
+      let* side = size v in
+      let* () = need (side >= 3) "torus needs S >= 3" in
+      Ok (Torus side)
+  | [ "wheel"; v ] ->
+      let* n = size v in
+      let* () = need (n >= 4) "wheel needs N >= 4" in
+      Ok (Wheel n)
+  | [ "tree"; v ] ->
+      let* n = size v in
+      Ok (Tree n)
+  | [ "pa"; v ] ->
+      let* n, m0 = two "pa:N,M0" v in
+      let* () = need (n > m0) "pa needs N > M0" in
+      Ok (Pa (n, m0))
+  | [ "ktree"; v ] ->
+      let* k, n = two "ktree:K,N" v in
+      let* () = need (n > k) "ktree needs N > K" in
+      Ok (Ktree (k, n))
+  | [ "clique"; v ] ->
+      let* b, side = two "clique:B,S" v in
+      let* () = need (side * side >= b) "clique needs S*S >= B" in
+      Ok (Clique (b, side))
+  | [ "er"; v ] -> (
+      match String.split_on_char ',' v with
+      | [ n; p ] -> (
+          let* n = size n in
+          match float_of_string_opt p with
+          | Some p when p >= 0. && p <= 1. -> Ok (Er (n, p))
+          | _ -> Error (Printf.sprintf "probability %S is not in [0, 1]" p))
+      | _ -> Error "expected er:N,P")
+  | [ "lbg"; v ] ->
+      let* d, dd = two "lbg:DELTA',D'" v in
+      let* () = need (d >= 5) "lbg needs DELTA' >= 5" in
+      let* () = need (dd >= (3 * (d - 2)) + 2) "lbg needs D' >= 3*(DELTA'-2)+2" in
+      Ok (Lbg (d, dd))
   | _ -> Error "unknown family"
 
 let build_family seed family =
   let rng = Rng.create seed in
   match family with
-  | Grid s -> (Generators.grid ~rows:s ~cols:s, `Grid s)
-  | Torus s -> (Generators.torus ~rows:s ~cols:s, `Grid s)
+  | Grid (r, c) -> (Generators.grid ~rows:r ~cols:c, `Grid (r, c))
+  | Torus s -> (Generators.torus ~rows:s ~cols:s, `Grid (s, s))
   | Wheel n -> (Generators.wheel n, `Wheel)
+  | Tree n -> (Generators.random_tree rng ~n, `Other)
+  | Pa (n, m0) -> (Generators.preferential_attachment rng ~n ~m0, `Other)
   | Ktree (k, n) -> (Generators.k_tree rng ~k ~n, `Other)
   | Clique (b, s) -> (Generators.clique_of_grids ~blocks:b ~side:s, `Clique (b, s))
   | Er (n, p) -> (Generators.erdos_renyi_connected rng ~n ~p, `Other)
@@ -65,28 +117,52 @@ let build_family seed family =
       let lb = Lower_bound_graph.create ~delta':d ~d':dd in
       (lb.Lower_bound_graph.graph, `Lbg lb)
 
-let build_partition seed g shape spec =
-  match (spec, shape) with
-  | "rows", `Grid s -> Partition.grid_rows g ~rows:s ~cols:s
-  | "rows", `Lbg lb -> lb.Lower_bound_graph.parts
-  | "whole", _ -> Partition.whole g
-  | "singletons", _ -> Partition.singletons g
-  | spec, _ -> (
+type parts = Rows | Whole | Singletons | Voronoi of int
+
+let parse_parts = function
+  | "rows" -> Ok Rows
+  | "whole" -> Ok Whole
+  | "singletons" -> Ok Singletons
+  | spec -> (
       match String.split_on_char ':' spec with
-      | [ "voronoi"; k ] ->
-          Partition.voronoi g (Rng.create (seed + 1)) ~parts:(int_of_string k)
-      | _ -> invalid_arg ("bad partition spec: " ^ spec))
+      | [ "voronoi"; k ] -> (
+          match int_of_string_opt k with
+          | Some k when k >= 1 -> Ok (Voronoi k)
+          | _ -> Error "voronoi:K needs an integer K >= 1")
+      | _ -> Error "expected rows | whole | singletons | voronoi:K")
 
-let family_conv =
-  let parser s =
-    match parse_family s with Ok f -> Ok f | Error e -> Error (`Msg e)
-  in
-  let printer ppf _ = Format.fprintf ppf "<family>" in
-  Arg.conv ~docv:"FAMILY" (parser, printer)
+(* Exit code 2 is reserved for malformed inputs (bad graph family or
+   partition spec, bad fault plan, bad policy spec) so scripts can tell
+   "fix your input" from "the run went wrong" (1). *)
+let bad_input fmt = Printf.ksprintf (fun msg -> prerr_endline ("lcs: " ^ msg); exit 2) fmt
 
-(* Exit code 2 is reserved for malformed inputs (bad fault plan, bad
-   policy spec) so scripts can tell "fix your file" from "the run went
-   wrong" (1). JSON syntax errors carry Util.Json's line/column. *)
+let family_or_die spec =
+  match parse_family spec with
+  | Ok f -> f
+  | Error e -> bad_input "bad graph family %s: %s" spec e
+
+let parts_or_die spec =
+  match parse_parts spec with
+  | Ok p -> p
+  | Error e -> bad_input "bad partition spec %s: %s" spec e
+
+(* The syntax was checked when the arguments were read; what needs the
+   built graph — a grid shape for rows, K <= n for voronoi — is checked
+   here, before the partition is built. *)
+let build_partition seed g shape parts =
+  match (parts, shape) with
+  | Rows, `Grid (rows, cols) -> Partition.grid_rows g ~rows ~cols
+  | Rows, `Lbg lb -> lb.Lower_bound_graph.parts
+  | Rows, _ -> bad_input "bad partition spec rows: needs a grid, torus or lbg graph"
+  | Whole, _ -> Partition.whole g
+  | Singletons, _ -> Partition.singletons g
+  | Voronoi k, _ ->
+      if k > Graph.n g then
+        bad_input "bad partition spec voronoi:%d: K exceeds the graph's %d vertices" k
+          (Graph.n g);
+      Partition.voronoi g (Rng.create (seed + 1)) ~parts:k
+
+(* JSON syntax errors in a fault plan carry Util.Json's line/column. *)
 let load_plan_or_die fpath =
   match Fault.load_plan fpath with
   | Ok plan -> plan
@@ -150,13 +226,21 @@ let print_trail (sup : _ Supervisor.run) =
          degradation recorded"
   | Supervisor.Attempt _ -> ()
 
+let families_doc =
+  "grid:R[,C] | torus:S | wheel:N | tree:N | pa:N,M0 | ktree:K,N | clique:B,S | \
+   er:N,P | lbg:DELTA',D'"
+
 let graph_arg =
-  let doc = "Graph family (see syntax above)." in
-  Arg.(required & opt (some family_conv) None & info [ "graph"; "g" ] ~docv:"FAMILY" ~doc)
+  let doc = "Graph family: " ^ families_doc ^ "." in
+  Term.(
+    const family_or_die
+    $ Arg.(required & opt (some string) None & info [ "graph"; "g" ] ~docv:"FAMILY" ~doc))
 
 let parts_arg =
   let doc = "Partition spec: rows | voronoi:K | whole | singletons." in
-  Arg.(value & opt string "voronoi:8" & info [ "parts"; "p" ] ~docv:"PARTS" ~doc)
+  Term.(
+    const parts_or_die
+    $ Arg.(value & opt string "voronoi:8" & info [ "parts"; "p" ] ~docv:"PARTS" ~doc))
 
 let seed_arg =
   let doc = "Random seed." in
@@ -164,10 +248,11 @@ let seed_arg =
 
 let domains_arg =
   let doc =
-    "Shard the enforced-simulator runs across $(docv) OCaml domains \
-     (Simulator_par). Every observable — results, stats, traces — is \
-     identical at any value; see README \"Running in parallel\" for when \
-     sharding actually helps."
+    "Split the enforced-simulator runs into $(docv) contiguous shards, one \
+     per OCaml domain; the default 1 runs the same round loop on one \
+     shard. Every observable — results, stats, traces — is identical at \
+     any value; see README \"Running in parallel\" for when more domains \
+     actually help."
   in
   Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N" ~doc)
 
@@ -185,7 +270,8 @@ let mode_of_sketch = Option.map (fun b -> Trace.Profile.Sketch b)
 
 let par_profile_arg =
   let doc =
-    "Profile the sharded simulator's parallel execution and write the \
+    "Profile the simulator's per-domain execution (at any --domains, \
+     including the one-shard baseline) and write the \
      lcs-par-profile/1 JSON report (per-domain step/deliver/barrier-wait \
      times, cross-shard traffic matrix, round-by-round imbalance ratio, \
      speedup-loss decomposition) to $(docv). Attaching the profiler never \
@@ -630,7 +716,7 @@ let pa_cmd =
           enforced 1-word bandwidth and lands in the event stream. A .jsonl
           target streams that stream to disk line by line instead of
           recording it. With only --par-profile the run is untraced, so
-          the sharded simulator keeps its fully parallel fast path. *)
+          the simulator keeps its fully parallel fast path. *)
        match trace with
        | Some path when Report.is_stream path ->
            let sink, profile, tracer =
@@ -724,8 +810,8 @@ let mst_cmd =
   let run family seed mode trace spans policy domains par_profile =
     let g, _shape = build_family seed family in
     let w = Weights.random_distinct (Rng.create (seed + 3)) g in
-    (* With domains <= 1 the engine uses the packet router, which the
-       sharded simulator never runs — the collector then records nothing
+    (* With domains <= 1 the engine uses the packet router, which never
+       enters the simulator — the collector then records nothing
        (the report says so rather than the flag failing silently). *)
     let pp = make_par_profile par_profile in
     let mode =
@@ -861,16 +947,15 @@ let export_cmd =
       | "edges" -> Graph_io.to_edge_list g
       | "dot" ->
           let partition =
-            match parts with
-            | None -> None
-            | Some spec -> Some (build_partition seed g shape spec)
+            Option.map (build_partition seed g shape) parts
           in
           Graph_io.to_dot ?partition g
       | "shortcut-dot" ->
           (* Render the boosted Theorem 3.1 shortcut: part colors plus the
              H_i edges drawn heavy, shaded by how many parts share them. *)
-          let spec = match parts with Some s -> s | None -> "voronoi:8" in
-          let partition = build_partition seed g shape spec in
+          let partition =
+            build_partition seed g shape (Option.value parts ~default:(Voronoi 8))
+          in
           let tree = Bfs.tree g ~root:0 in
           let sc = (Boost.full partition ~tree).Boost.shortcut in
           let load = Quality.edge_load sc in
@@ -898,8 +983,10 @@ let export_cmd =
     Arg.(value & opt (some string) None & info [ "out"; "o" ] ~docv:"PATH" ~doc:"output file")
   in
   let parts_opt =
-    Arg.(value & opt (some string) None
-         & info [ "parts"; "p" ] ~docv:"PARTS" ~doc:"color parts in dot output")
+    Term.(
+      const (Option.map parts_or_die)
+      $ Arg.(value & opt (some string) None
+             & info [ "parts"; "p" ] ~docv:"PARTS" ~doc:"color parts in dot output"))
   in
   Cmd.v
     (Cmd.info "export" ~doc:"serialize a graph family (edge list or Graphviz dot)")
@@ -1075,14 +1162,7 @@ let chaos_cmd =
     let campaigns =
       List.map
         (fun spec ->
-          let family =
-            match parse_family spec with
-            | Ok f -> f
-            | Error e ->
-                Printf.eprintf "lcs: bad --graph %s: %s\n" spec e;
-                exit 2
-          in
-          let g, shape = build_family seed family in
+          let g, shape = build_family seed (family_or_die spec) in
           let partition = build_partition seed g shape parts in
           let subject =
             Chaos.pa_subject ~reliable
@@ -1148,9 +1228,11 @@ let chaos_cmd =
              ~doc:"graph family to subject to the campaign (repeatable)")
   in
   let parts_arg =
-    Arg.(value & opt string "voronoi:6"
-         & info [ "parts"; "p" ] ~docv:"PARTS"
-             ~doc:"partition spec applied to every --graph")
+    Term.(
+      const parts_or_die
+      $ Arg.(value & opt string "voronoi:6"
+             & info [ "parts"; "p" ] ~docv:"PARTS"
+                 ~doc:"partition spec applied to every --graph"))
   in
   let plan_arg =
     Arg.(value & opt_all string []
@@ -1218,44 +1300,6 @@ let experiment_cmd =
 
 (* --- graph subcommands (files, binary format, streaming generation) ---- *)
 
-(* Families the graph subcommands can stream edge-by-edge (no edge list in
-   memory) at sizes the --graph families cannot reach, plus every --graph
-   family as a fallback. *)
-type gen_family =
-  | Ggrid of int * int
-  | Gtree of int
-  | Gpa of int * int
-  | Gfamily of family
-
-let parse_gen_family s =
-  match String.split_on_char ':' s with
-  | [ "grid"; v ] -> (
-      match String.split_on_char ',' v with
-      | [ r ] ->
-          let r = int_of_string r in
-          Ok (Ggrid (r, r))
-      | [ r; c ] -> Ok (Ggrid (int_of_string r, int_of_string c))
-      | _ -> Error "grid:R[,C]")
-  | [ "tree"; n ] -> Ok (Gtree (int_of_string n))
-  | [ "pa"; kv ] -> (
-      match String.split_on_char ',' kv with
-      | [ n; m0 ] -> Ok (Gpa (int_of_string n, int_of_string m0))
-      | _ -> Error "pa:N,M0")
-  | _ -> ( match parse_family s with Ok f -> Ok (Gfamily f) | Error e -> Error e)
-
-let gen_family_conv =
-  let parser s =
-    match parse_gen_family s with Ok f -> Ok f | Error e -> Error (`Msg e)
-  in
-  let printer ppf _ = Format.fprintf ppf "<family>" in
-  Arg.conv ~docv:"FAMILY" (parser, printer)
-
-let build_gen_family seed = function
-  | Ggrid (r, c) -> Generators.grid ~rows:r ~cols:c
-  | Gtree n -> Generators.random_tree (Rng.create seed) ~n
-  | Gpa (n, m0) -> Generators.preferential_attachment (Rng.create seed) ~n ~m0
-  | Gfamily f -> fst (build_family seed f)
-
 (* File format by extension: .bin is lcs-graph-bin/1, anything else the
    text edge list. *)
 let is_binary_path path = Filename.check_suffix path ".bin"
@@ -1284,18 +1328,16 @@ let graph_out_arg =
 
 let graph_gen_cmd =
   let run family seed out =
-    let g = build_gen_family seed family in
+    let g, _shape = build_family seed family in
     save_graph out g;
     Printf.printf "wrote %s: n=%d m=%d\n" out (Graph.n g) (Graph.m g);
     0
   in
   let family_arg =
-    Arg.(
-      required
-      & opt (some gen_family_conv) None
-      & info [ "family"; "f" ] ~docv:"FAMILY"
-          ~doc:"Streaming families grid:R[,C] | tree:N | pa:N,M0, or any \
-                --graph family.")
+    Term.(
+      const family_or_die
+      $ Arg.(required & opt (some string) None
+             & info [ "family"; "f" ] ~docv:"FAMILY" ~doc:("Graph family: " ^ families_doc)))
   in
   Cmd.v
     (Cmd.info "gen" ~doc:"generate a graph family into a file")
@@ -1362,7 +1404,7 @@ let flood_program g ~root =
 
 let bcast_cmd =
   let run family seed trace every profile_out sketch domains =
-    let g = build_gen_family seed family in
+    let g, _shape = build_family seed family in
     let mode = mode_of_sketch sketch in
     let program = flood_program g ~root:0 in
     let sink =
@@ -1381,7 +1423,7 @@ let bcast_cmd =
       | _ -> None
     in
     let _states, p =
-      Simulator_par.run_profiled ~domains ?mode ?flight ?tracer g program
+      Simulator.run_profiled ~domains ?mode ?flight ?tracer g program
     in
     let stats = p.Simulator.base in
     let profile = p.Simulator.profile in
@@ -1404,12 +1446,10 @@ let bcast_cmd =
     0
   in
   let family_arg =
-    Arg.(
-      required
-      & opt (some gen_family_conv) None
-      & info [ "family"; "f" ] ~docv:"FAMILY"
-          ~doc:"Streaming families grid:R[,C] | tree:N | pa:N,M0, or any \
-                --graph family.")
+    Term.(
+      const family_or_die
+      $ Arg.(required & opt (some string) None
+             & info [ "family"; "f" ] ~docv:"FAMILY" ~doc:("Graph family: " ^ families_doc)))
   in
   let trace_arg =
     Arg.(value & opt (some string) None
@@ -1553,7 +1593,7 @@ let top_cmd =
 
 (* --- shards subcommand ------------------------------------------------------ *)
 
-(* Static shard diagnostics: the contiguous node ranges Simulator_par
+(* Static shard diagnostics: the contiguous node ranges the simulator
    would hand each domain, their port (directed-edge endpoint) counts,
    and the resulting static imbalance ratio — the load-balance picture
    *before* a run, to compare against the measured per-round imbalance a
@@ -1561,8 +1601,8 @@ let top_cmd =
 let shards_cmd =
   let run graph domains seed json =
     let g =
-      match parse_gen_family graph with
-      | Ok f -> build_gen_family seed f
+      match parse_family graph with
+      | Ok f -> fst (build_family seed f)
       | Error e ->
           if Sys.file_exists graph then load_graph graph
           else begin
@@ -1572,7 +1612,7 @@ let shards_cmd =
             exit 2
           end
     in
-    let bounds = Simulator_par.shard_bounds ~domains g in
+    let bounds = Simulator.shard_bounds ~domains g in
     let d = Array.length bounds - 1 in
     let ports_of s =
       let acc = ref 0 in
@@ -1619,7 +1659,7 @@ let shards_cmd =
         total_ports;
       Printf.printf "domains: %d%s (clamp [1, min n %d])\n" d
         (if d <> domains then Printf.sprintf " (requested %d)" domains else "")
-        Simulator_par.max_domains;
+        Simulator.max_domains;
       Array.iteri
         (fun sh p ->
           Printf.printf "shard %d: nodes %d..%d (%d nodes, %d ports, %.1f%% of traffic endpoints)\n"
@@ -1638,12 +1678,11 @@ let shards_cmd =
   let graph_pos =
     Arg.(required & pos 0 (some string) None
          & info [] ~docv:"GRAPH"
-             ~doc:"graph family spec (any --graph family, or streaming \
-                   grid:R[,C] | tree:N | pa:N,M0) or a graph file path \
-                   (.bin or text edge list)")
+             ~doc:("graph family (" ^ families_doc
+                   ^ ") or a graph file path (.bin or text edge list)"))
   in
   let domains_arg =
-    Arg.(value & opt int (Simulator_par.recommended ())
+    Arg.(value & opt int (Simulator.recommended ())
          & info [ "domains" ] ~docv:"N"
              ~doc:"shard count to plan for (defaults to the recommended \
                    domain count of this machine; clamped like the \
@@ -1656,7 +1695,7 @@ let shards_cmd =
   in
   Cmd.v
     (Cmd.info "shards"
-       ~doc:"show the sharded simulator's node ranges, per-shard port \
+       ~doc:"show the simulator's shard node ranges, per-shard port \
              counts and static imbalance for a graph")
     Term.(const run $ graph_pos $ domains_arg $ seed_arg $ json_arg)
 

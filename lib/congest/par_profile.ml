@@ -1,4 +1,4 @@
-(* Wall-clock profiler for the sharded simulator. Recording is strictly
+(* Wall-clock profiler for the simulator's domains. Recording is strictly
    single-writer: during a phase each domain touches only index [shard]
    of the scratch arrays (and row [shard] of the traffic matrices); the
    main domain derives barrier waits and commits the round's row at the

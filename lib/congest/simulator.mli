@@ -71,35 +71,28 @@ exception Round_limit of int
     {!run_outcome} to recover the partial states and statistics instead of
     unwinding past them. *)
 
-(** The CSR port layout both array-backed cores run on — shared
-    infrastructure for this core and the sharded {!Simulator_par}, not
-    part of the stable user API. Slot [port_offset.(v) + p] describes
-    port [p] of node [v]; [port_reverse] holds the local port index at
-    the neighbor that leads back, so delivering a message is one array
-    read. The offset/neighbor/edge planes are the graph's own
-    Bigarray-backed CSR arrays ({!Lcs_graph.Graph.csr_offsets} etc.),
-    shared by reference rather than re-derived; only [port_reverse] is
-    built here. *)
-module Csr : sig
-  type t = {
-    port_offset : Lcs_util.Intvec.t;
-        (** length [n+1]; prefix sums of degrees *)
-    port_neighbor : Lcs_util.Intvec.t;
-    port_edge : Lcs_util.Intvec.t;
-    port_reverse : Lcs_util.Intvec.t;
-  }
+val max_domains : int
+(** The shard-count ceiling (32). {!recommended} and {!shard_bounds}
+    clamp to it; a run uses as many shards as {!shard_bounds} returns. *)
 
-  val build : Lcs_graph.Graph.t -> t
+val recommended : unit -> int
+(** A sensible domain count for this machine:
+    [Domain.recommended_domain_count], clamped to [\[1, max_domains\]]. *)
 
-  val contexts : t -> int -> ctx array
-  (** The per-node program contexts for nodes [0..n-1]. *)
-end
+val shard_bounds : domains:int -> Lcs_graph.Graph.t -> int array
+(** The contiguous shard boundaries a run on [domains] domains uses:
+    [domains + 1] entries (after clamping to [\[1, min n max_domains\]]),
+    shard [s] owning nodes [bounds.(s) .. bounds.(s+1) - 1]. Balanced by
+    port count, so dense regions spread across domains. Exposed for tests
+    and diagnostics. *)
 
 val run_outcome :
+  ?domains:int ->
   ?bandwidth:int ->
   ?max_rounds:int ->
   ?tracer:Trace.tracer ->
   ?faults:Fault.t ->
+  ?par_profile:Par_profile.t ->
   Lcs_graph.Graph.t ->
   ('state, 'msg) program ->
   'state run_result
@@ -107,10 +100,12 @@ val run_outcome :
     partial states and statistics rather than raising {!Round_limit}. *)
 
 val run :
+  ?domains:int ->
   ?bandwidth:int ->
   ?max_rounds:int ->
   ?tracer:Trace.tracer ->
   ?faults:Fault.t ->
+  ?par_profile:Par_profile.t ->
   Lcs_graph.Graph.t ->
   ('state, 'msg) program ->
   'state array * stats
@@ -119,8 +114,8 @@ val run :
     the round/message accounting. [tracer] (default absent) receives every
     {!Trace.event} of the run — round boundaries, each message with its
     host edge id, node halts, per-round bandwidth high-water marks; when
-    absent the run pays one branch per message and allocates nothing, so
-    tracing never perturbs what it observes.
+    absent the run pays one branch per message, so tracing never perturbs
+    what it observes.
 
     [faults] (default absent) subjects the network to a compiled
     {!Fault.t}: transmissions may be dropped, duplicated or delayed, links
@@ -132,23 +127,78 @@ val run :
     bypass bandwidth accounting — a dropped transmission still consumed
     its slot on the wire.
 
-    The message plane runs on flat preallocated arrays (a CSR port layout
-    built once from the graph, int-array word budgets cleared via a
-    touched-slot list, reusable inbox buffers); a fault-free steady-state
-    round allocates only the inbox lists the [on_round] API requires. The
-    retained reference core {!Simulator_ref} preserves the historical
-    implementation; the test suite proves the two produce identical
-    statistics, traces and outcomes. *)
+    {b Domains.} [domains] (default 1) splits the node set into that many
+    contiguous shards balanced by port count, clamped to
+    [\[1, min n max_domains\]]; each round every domain delivers its
+    shard's inboxes and runs its shard's [on_round] steps, with a barrier
+    at the round boundary. Cross-shard messages travel through
+    per-(source, destination) shard outboxes — each cell has exactly one
+    writer and one reader, separated by the barrier, so the hot path
+    takes no locks.
+
+    {b Determinism contract.} For every program, graph, seed and fault
+    plan, a run is observationally {e identical} at every domain count:
+    final states, {!stats}, the full trace event order, {!Trace.Cause} id
+    assignment, and fault verdicts all match the reference core
+    {!Simulator_ref} byte for byte. Untraced fault-free runs get this
+    from shard contiguity alone (draining outboxes in source-shard order
+    reproduces the ascending-sender order); traced or faulty runs buffer
+    sends in parallel and replay them serially at the barrier, drawing
+    ids, verdicts and events in exactly the sequential order (on one
+    shard, sends are processed in place, with no buffer). The
+    differential suite enforces both. See the "parallelism" documentation
+    page for the full execution model.
+
+    Sharding pays off on large graphs with fault-free, untraced runs — the
+    capacity workload. Tracing or fault injection serializes the
+    verdict/id/event step at the barrier, and tiny graphs are dominated by
+    barrier latency; both are better run on one domain.
+
+    Runs that raise ([Bandwidth_exceeded], or an exception escaping
+    [on_round]) raise the exception of the smallest offending node id, as
+    a sequential sweep would; activations of higher-id nodes in the same
+    round may have run on other domains — their effects are discarded
+    with the run.
+
+    [par_profile] attaches a wall-clock collector (see {!Par_profile}):
+    per-domain step / deliver / barrier-wait times, message counts and
+    the cross-shard traffic matrix, recorded per round. Attaching one
+    never changes any observable (timing is recorded per domain and
+    merged at the barrier, never read by the simulator); on serialized
+    runs its decomposition additionally reports the serial-replay time. *)
 
 val run_profiled :
+  ?domains:int ->
   ?bandwidth:int ->
   ?max_rounds:int ->
+  ?mode:Trace.Profile.mode ->
+  ?flight:int * (Trace.Flight.snapshot -> unit) ->
   ?tracer:Trace.tracer ->
   ?faults:Fault.t ->
+  ?par_profile:Par_profile.t ->
   Lcs_graph.Graph.t ->
   ('state, 'msg) program ->
   'state array * profiled_stats
 (** {!run} with a {!Trace.Profile} collector attached: the extended stats
     carry the per-edge / per-round congestion profile alongside the four
-    aggregates (the profile's [total_words] equals [base.words]). An
-    additional [tracer] is teed in after the profile collector. *)
+    aggregates (the profile's [total_words] equals [base.words]).
+
+    Profile aggregation — unlike event tracing — is order-insensitive, so
+    a profile-only run (no [?tracer], no [?faults]) keeps the fully
+    parallel fast path: every domain feeds its own {!Trace.Profile} shard
+    through the event-free recording entry points (the first shard is the
+    returned profile itself) and the other shards merge into it at the
+    end (and into a copy at each flight snapshot). In [Exact] mode the
+    result is byte-identical to an event-fed collector at every domain
+    count, and in [Sketch] mode at one domain — the differential suite
+    pins both. With a [?tracer] or [?faults] the run serializes as
+    {!run} describes and the profile collects through the event stream,
+    teed in ahead of [tracer].
+
+    [mode] selects the profile's accounting mode exactly as
+    {!Trace.Profile.create} does (auto-selecting [Sketch] above
+    {!Trace.Profile.sketch_threshold} edges when omitted).
+
+    [flight = (every, emit)] emits a {!Trace.Flight.snapshot} at each
+    [every]-th round barrier, with one pending-delivery queue depth per
+    domain. *)

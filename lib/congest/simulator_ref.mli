@@ -7,8 +7,8 @@
     suite's differential property drives qcheck-generated programs, graphs
     and fault plans through both and demands identical statistics, trace
     event sequences and outcomes; the simulator macro-benchmarks
-    ([bench/sim_bench.exe]) use this module as the allocation baseline the
-    CSR core is measured against.
+    ([bench/sim_bench.exe]) use this module as the allocation baseline
+    {!Simulator} is measured against.
 
     Semantic changes are applied to {e both} cores in lockstep (e.g. the
     crash-time purge of pending delayed deliveries) — this module is a

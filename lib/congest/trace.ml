@@ -41,9 +41,9 @@ let tee tracers event = List.iter (fun t -> t event) tracers
 (* Ambient per-run state shared by the message sources (the simulator
    cores and the standalone part-wise routers). The state is {e
    domain-local} (one record per OCaml 5 domain, reached through a single
-   [Domain.DLS] key): the serial cores and the routers live entirely on
-   one domain and behave exactly as before, while the sharded core
-   ([Simulator_par]) gives every worker domain its own activation state —
+   [Domain.DLS] key): the reference core and the routers live entirely on
+   one domain, while the simulator gives every worker domain its own
+   activation state —
    each worker brackets its own nodes with [activate]/[take]/[deactivate]
    and never touches another worker's declarations. Only the id [counter]
    of the domain that called [start_run] is ever drawn from ([fresh_id]
@@ -504,7 +504,7 @@ module Profile = struct
 
   (* The event-free recording entry points: what the tracer does for
      [Send]/[Halt]/[Round_end], callable without materializing an event —
-     the sharded simulator's per-domain shards go through these so its
+     the simulator's per-domain shards go through these so its
      profiled fast path allocates nothing per message. *)
   let record_send p ~round ~edge ~words =
     account p edge words;

@@ -184,7 +184,8 @@ module Space_saving = struct
        rather than the other way round. [add] keeps [into.total] honest;
        the extra [err] preserves the one-sided bound: for a key present in
        both, count = est1 + est2 and err = err1 + err2 still bracket the
-       combined truth. *)
+       combined truth. The source's own displacements carry over, so a
+       merged sketch reports every eviction its inputs saw. *)
     List.iter
       (fun (key, est, err) ->
         add into key est;
@@ -192,7 +193,8 @@ module Space_saving = struct
           match Hashtbl.find_opt into.tbl key with
           | Some e -> e.err <- e.err + err
           | None -> ())
-      (entries src)
+      (entries src);
+    into.evictions <- into.evictions + src.evictions
 end
 
 module Quantile = struct

@@ -80,7 +80,8 @@ module Space_saving : sig
       merge, the result is exact and independent of merge order; in
       general the one-sided bound survives with [err] widened by the
       source's uncertainty and {!threshold} of the source added to the
-      untracked-key bound. *)
+      untracked-key bound. {!evictions} of [into] afterwards counts the
+      source's displacements as well as the merge's own. *)
 end
 
 (** Relative-accuracy summary of a stream of non-negative integers, for

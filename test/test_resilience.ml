@@ -458,7 +458,31 @@ let cli_rejects_malformed_plan () =
   Sys.remove err;
   check Alcotest.int "exit code 2" 2 status;
   check Alcotest.bool "stderr carries the position" true
-    (contains ~sub:"line 1" msg && contains ~sub:"column" msg)
+    (contains ~sub:"line 1" msg && contains ~sub:"column" msg);
+  (* Malformed graph-family and partition specs take the same exit, with
+     the offending spec named on stderr. *)
+  List.iter
+    (fun (graph, parts, named) ->
+      let status =
+        Sys.command
+          (Printf.sprintf "%s pa -g %s -p %s > /dev/null 2> %s"
+             (Filename.quote (from_test_dir "../bin/lcs_cli.exe"))
+             (Filename.quote graph) (Filename.quote parts) (Filename.quote err))
+      in
+      let msg = read_file err in
+      Sys.remove err;
+      let case = Printf.sprintf "-g %s -p %s" graph parts in
+      check Alcotest.int (case ^ ": exit code 2") 2 status;
+      check Alcotest.bool (case ^ ": stderr names " ^ named) true (contains ~sub:named msg))
+    [
+      ("grid:0", "rows", "grid:0");
+      ("grid:-3", "rows", "grid:-3");
+      ("grid:6", "voronoi:0", "voronoi:0");
+      ("grid:6", "bogus", "bogus");
+      ("grid:28x28", "rows", "grid:28x28");
+      ("grid:3", "voronoi:10", "voronoi:10");
+      ("wheel:8", "rows", "rows");
+    ]
 
 let props =
   List.map QCheck_alcotest.to_alcotest

@@ -1,17 +1,16 @@
-(* Differential equivalence of the CSR simulator core (Simulator) and the
-   sharded multicore core (Simulator_par) against the retained reference
-   implementation (Simulator_ref).
+(* Differential equivalence of the simulator core (Simulator) against the
+   retained reference implementation (Simulator_ref).
 
-   All cores must be observationally indistinguishable: identical final
+   The two must be observationally indistinguishable: identical final
    states, statistics, trace event sequences and fault counters on the
    same graph / program / fault plan — fault-free, faulty, traced,
-   untraced, finished and Out_of_rounds alike, and for the sharded core
-   at every domain count (the determinism contract of
-   doc/parallelism.mld). The programs, graphs and plans here are
-   qcheck-generated; the program family below is a deterministic "gossip"
-   whose sends, sizes and halting rounds are all hash-derived from the
-   node's accumulated view, so any divergence in delivery order or
-   content snowballs into different states.
+   untraced, finished and Out_of_rounds alike, and at every domain count
+   from one shard up (the determinism contract of doc/parallelism.mld).
+   The programs, graphs and plans here are qcheck-generated; the program
+   family below is a deterministic "gossip" whose sends, sizes and
+   halting rounds are all hash-derived from the node's accumulated view,
+   so any divergence in delivery order or content snowballs into
+   different states.
 
    Setting LCS_DOMAINS=<d> adds one more domain count to the sweep — CI
    uses it to run the whole tier under a second shard geometry. *)
@@ -111,15 +110,14 @@ let gen_plan seed ~n ~m =
 
 (* --- runners ------------------------------------------------------------ *)
 
-type core = Csr | Ref | Par of int
+(* The reference oracle, or the simulator on [d] domains. *)
+type core = Ref | Sim of int
 
 let run_core core ?bandwidth ?max_rounds ?tracer ?faults g program =
   match core with
-  | Csr -> Simulator.run_outcome ?bandwidth ?max_rounds ?tracer ?faults g program
   | Ref -> Simulator_ref.run_outcome ?bandwidth ?max_rounds ?tracer ?faults g program
-  | Par d ->
-      Simulator_par.run_outcome ~domains:d ?bandwidth ?max_rounds ?tracer ?faults g
-        program
+  | Sim d ->
+      Simulator.run_outcome ~domains:d ?bandwidth ?max_rounds ?tracer ?faults g program
 
 (* Run one core with a recorder attached and a fresh injector; return
    everything observable. *)
@@ -130,7 +128,7 @@ let observe core ?bandwidth ?max_rounds ?plan g program =
   let result = run_core core ?bandwidth ?max_rounds ~tracer ?faults g program in
   (result, Trace.Recorder.events recorder, Option.map Fault.counts faults)
 
-(* The same, with no tracer attached — the sharded core takes a different
+(* The same, with no tracer attached — the simulator takes a different
    (fully parallel) path for untraced fault-free runs, so the untraced
    observables need their own comparison. *)
 let observe_untraced core ?bandwidth ?max_rounds ?plan g program =
@@ -148,14 +146,10 @@ let same_result ra rb =
 let same_observation (ra, ea, ca) (rb, eb, cb) =
   same_result ra rb && ea = eb && ca = cb
 
-let cores_agree ?bandwidth ?max_rounds ?plan g program =
-  same_observation
-    (observe Csr ?bandwidth ?max_rounds ?plan g program)
-    (observe Ref ?bandwidth ?max_rounds ?plan g program)
-
-(* Domain counts the sharded core is swept over; LCS_DOMAINS adds one. *)
+(* Domain counts the simulator is swept over — one shard, the geometry of
+   every default run, and three sharded ones; LCS_DOMAINS adds one. *)
 let domain_counts =
-  let base = [ 2; 3; 4 ] in
+  let base = [ 1; 2; 3; 4 ] in
   match Sys.getenv_opt "LCS_DOMAINS" with
   | None -> base
   | Some s -> (
@@ -163,20 +157,25 @@ let domain_counts =
       | Some d when d >= 1 && not (List.mem d base) -> base @ [ d ]
       | _ -> base)
 
-(* The sharded core at every swept domain count must reproduce the oracle
-   byte for byte: traced observables (events, ids, fault counters) AND
-   the untraced run, which exercises the lock-free parallel fast path. *)
-let sharded_agrees ?bandwidth ?max_rounds ?plan g program =
+(* The simulator at every domain count in [domains] must reproduce the
+   oracle byte for byte: traced observables (events, ids, fault counters)
+   AND the untraced run, which exercises the lock-free parallel fast
+   path. *)
+let sharded_agrees ?(domains = domain_counts) ?bandwidth ?max_rounds ?plan g program =
   let oracle = observe Ref ?bandwidth ?max_rounds ?plan g program in
   let oracle_untraced = observe_untraced Ref ?bandwidth ?max_rounds ?plan g program in
   List.for_all
     (fun d ->
-      same_observation (observe (Par d) ?bandwidth ?max_rounds ?plan g program) oracle
+      same_observation (observe (Sim d) ?bandwidth ?max_rounds ?plan g program) oracle
       &&
-      let r, c = observe_untraced (Par d) ?bandwidth ?max_rounds ?plan g program in
+      let r, c = observe_untraced (Sim d) ?bandwidth ?max_rounds ?plan g program in
       let ro, co = oracle_untraced in
       same_result r ro && c = co)
-    domain_counts
+    domains
+
+(* The one-shard case on its own, at the property counts of the
+   single-geometry properties below. *)
+let cores_agree = sharded_agrees ~domains:[ 1 ]
 
 (* --- properties --------------------------------------------------------- *)
 
@@ -189,11 +188,11 @@ let diff_fault_free =
       let program = gossip ~pseed:(mix seed 5) ~bw in
       cores_agree ~bandwidth:bw g program
       &&
-      (* tracing must not perturb what it observes: an untraced run of the
-         CSR core reports the same stats as the traced one *)
+      (* tracing must not perturb what it observes: an untraced run
+         reports the same stats as the traced one *)
       match
         ( Simulator.run_outcome ~bandwidth:bw g program,
-          observe Csr ~bandwidth:bw g program )
+          observe (Sim 1) ~bandwidth:bw g program )
       with
       | Simulator.Finished (_, s1), (Simulator.Finished (_, s2), _, _) -> s1 = s2
       | _ -> false)
@@ -246,7 +245,7 @@ let diff_sharded_out_of_rounds =
       sharded_agrees ~max_rounds:2 ?plan g (gossip ~pseed:(mix seed 37) ~bw:1))
 
 (* Bipartite construction whose every edge joins the low and the high half
-   of the id range: under the sharded core's contiguous shard assignment
+   of the id range: under the simulator's contiguous shard assignment
    essentially all traffic crosses a shard boundary, stressing the
    cross-shard outbox plane rather than the shard-local common case. *)
 let cross_shard_graph seed ~n =
@@ -282,39 +281,53 @@ let diff_sharded_cross_shard =
 
 (* --- deterministic cases ------------------------------------------------ *)
 
-(* Both cores reject an over-budget send with the same exception payload. *)
+(* Both cores reject an over-budget send with the same exception payload.
+   On the second host node 2 also raises, in the same round as node 0's
+   overrun: the smaller node's offense must surface, as in the reference
+   core's sequential sweep — on the replay path too, where the overrun is
+   only detected after node 2's step has run. *)
 let bandwidth_parity () =
-  let g = Generators.path 2 in
   let program =
     {
       Simulator.init = (fun _ -> false);
       on_round =
         (fun ctx st ~inbox ->
           ignore inbox;
-          if ctx.Simulator.node = 0 && not st then (true, [ (0, 1); (0, 2) ])
-          else (true, []));
+          match ctx.Simulator.node with
+          | 0 when not st -> (true, [ (0, 1); (0, 2) ])
+          | 2 -> failwith "node 2 raised"
+          | _ -> (true, []));
       is_halted = (fun st -> st);
       msg_words = (fun _ -> 1);
     }
   in
-  let catch run =
+  let catch g run =
     try
       ignore (run g program);
       None
     with Simulator.Bandwidth_exceeded { node; port; round; words; limit } ->
       Some (node, port, round, words, limit)
   in
-  let a = catch (fun g p -> Simulator.run g p) in
-  let b = catch (fun g p -> Simulator_ref.run g p) in
-  check Alcotest.bool "both raise" true (a <> None && a = b);
-  (* The sharded core raises the identical payload — both on the parallel
-     fast path (untraced) and on the serialized replay path (traced). *)
-  let c = catch (fun g p -> Simulator_par.run ~domains:2 g p) in
-  check Alcotest.bool "sharded raises (fast path)" true (a = c);
-  let d =
-    catch (fun g p -> Simulator_par.run ~domains:2 ~tracer:(fun _ -> ()) g p)
-  in
-  check Alcotest.bool "sharded raises (replay path)" true (a = d)
+  List.iter
+    (fun g ->
+      let expected = catch g (fun g p -> Simulator_ref.run g p) in
+      check Alcotest.bool "reference raises" true (expected <> None);
+      (* The simulator raises the identical payload at every domain count —
+         both on the parallel fast path (untraced) and on the serialized
+         replay path (traced). *)
+      List.iter
+        (fun d ->
+          check Alcotest.bool
+            (Printf.sprintf "fast path raises, n=%d domains=%d" (Graph.n g) d)
+            true
+            (catch g (fun g p -> Simulator.run ~domains:d g p) = expected);
+          check Alcotest.bool
+            (Printf.sprintf "replay path raises, n=%d domains=%d" (Graph.n g) d)
+            true
+            (catch g (fun g p -> Simulator.run ~domains:d ~tracer:(fun _ -> ()) g p)
+            = expected))
+        domain_counts)
+    [ Generators.path 2; Generators.path 3 ]
 
 (* A crash purges the delayed deliveries already in flight toward the dead
    node: they surface as Drop events at the crash round and count as
@@ -354,7 +367,7 @@ let crash_purges_delayed () =
       crashes = [ { Fault.node = 2; round = 2 } ];
     }
   in
-  let ((_, events, counts) as obs_a) = observe Csr ~plan g program in
+  let ((_, events, counts) as obs_a) = observe (Sim 1) ~plan g program in
   let obs_b = observe Ref ~plan g program in
   check Alcotest.bool "cores agree" true (same_observation obs_a obs_b);
   let purged =
@@ -372,7 +385,7 @@ let crash_purges_delayed () =
          node. *)
       check Alcotest.bool "to_crashed counts the purge" true (c.Fault.to_crashed >= 4)
 
-(* The acceptance property of the sharded core, verbatim: the per-edge
+(* The acceptance property of sharded runs, verbatim: the per-edge
    trace profile of a run is byte-identical (as serialized JSON) across
    --domains 1/2/4 — fault-free and under a fault plan. *)
 let profile_bytes_across_domains () =
@@ -383,7 +396,7 @@ let profile_bytes_across_domains () =
       let tracer = Trace.Profile.tracer profile in
       let faults = Option.map (fun p -> Fault.compile p) plan in
       ignore
-        (Simulator_par.run_outcome ~domains:d ~bandwidth:2 ~tracer ?faults g
+        (Simulator.run_outcome ~domains:d ~bandwidth:2 ~tracer ?faults g
            (gossip ~pseed:4711 ~bw:2));
       Json.to_string (Trace.Profile.to_json profile)
     in
@@ -397,43 +410,80 @@ let profile_bytes_across_domains () =
   check_case "fault-free" ();
   check_case "faulty" ~plan:(gen_plan 4242 ~n:24 ~m:(Graph.m g)) ()
 
-(* The sharded profiled entry point: per-domain profile shards merged at
-   the round barrier must reproduce the single-domain run exactly —
-   byte-identical profile JSON, identical states, and identical flight
-   snapshots (modulo the per-domain queue column, whose width is the
-   domain count by construction). *)
+(* The profiled entry point against an event-fed oracle: a plain run
+   whose tracer tees the event-stream profile collector ahead of the
+   flight observer. [run_profiled] instead fills per-domain profile shards
+   through the event-free recording entry points and merges them, so at
+   every domain count — one included — its states, Exact-mode profile
+   bytes and flight vitals must equal the oracle's; its snapshots carry
+   one queue column per domain. In Sketch mode the one-domain profile is
+   byte-equal as well (evictions included), and merged runs keep the
+   total. *)
 let run_profiled_parallel_bytes () =
   let g = random_connected_graph 777 ~n:32 ~extra:20 in
-  let run d =
+  let program = gossip ~pseed:97 ~bw:2 in
+  let vitals snaps =
+    List.rev_map
+      (fun s -> Trace.Flight.(s.round, s.words, s.messages, s.halted, s.top))
+      snaps
+  in
+  let oracle ?mode () =
+    let p = Trace.Profile.create ?mode ~edges:(Graph.m g) () in
+    let snaps = ref [] in
+    let tracer =
+      Trace.tee
+        [
+          Trace.Profile.tracer p;
+          Trace.Flight.observer ~every:2 p (fun s -> snaps := s :: !snaps);
+        ]
+    in
+    let states, _ = Simulator.run ~bandwidth:2 ~tracer g program in
+    (states, p, vitals !snaps)
+  in
+  let run ?mode d =
     let snaps = ref [] in
     let states, stats =
-      Simulator_par.run_profiled ~domains:d ~bandwidth:2
+      Simulator.run_profiled ~domains:d ~bandwidth:2 ?mode
         ~flight:(2, fun s -> snaps := s :: !snaps)
-        g
-        (gossip ~pseed:97 ~bw:2)
+        g program
     in
-    let vitals =
-      List.rev_map
-        (fun s ->
-          Trace.Flight.
-            (s.round, s.words, s.messages, s.halted, s.top))
-        !snaps
-    in
-    (states, Json.to_string (Trace.Profile.to_json stats.Simulator.profile), vitals, d)
+    let widths = List.map (fun s -> Array.length s.Trace.Flight.queues) !snaps in
+    (states, stats.Simulator.profile, vitals !snaps, widths)
   in
-  let base_states, base_json, base_vitals, _ = run 1 in
+  let bytes p = Json.to_string (Trace.Profile.to_json p) in
+  let base_states, base_profile, base_vitals = oracle () in
+  check Alcotest.bool "flight recorder actually fired" true (base_vitals <> []);
   List.iter
     (fun d ->
-      let states, json, vitals, _ = run d in
+      let states, profile, vitals, widths = run d in
+      check Alcotest.bool (Printf.sprintf "%d queue columns" d) true
+        (widths <> [] && List.for_all (( = ) d) widths);
       check Alcotest.bool (Printf.sprintf "states equal, domains=%d" d) true
         (states = base_states);
       check Alcotest.string (Printf.sprintf "profile bytes, domains=%d" d)
-        base_json json;
+        (bytes base_profile) (bytes profile);
       check Alcotest.bool (Printf.sprintf "flight vitals equal, domains=%d" d)
         true
         (vitals = base_vitals))
-    [ 2; 4 ];
-  check Alcotest.bool "flight recorder actually fired" true (base_vitals <> [])
+    [ 1; 2; 4 ];
+  let mode = Trace.Profile.Sketch 4 in
+  let _, sketch_oracle, _ = oracle ~mode () in
+  let evictions p =
+    let j = Trace.Profile.to_json p in
+    Option.bind (Json.member "sketch" j) (Json.member "evictions")
+    |> Fun.flip Option.bind Json.to_int
+    |> Option.get
+  in
+  check Alcotest.bool "sketch oracle evicts" true (evictions sketch_oracle > 0);
+  let _, one, _, _ = run ~mode 1 in
+  check Alcotest.string "sketch profile bytes, domains=1" (bytes sketch_oracle) (bytes one);
+  List.iter
+    (fun d ->
+      let _, merged, _, _ = run ~mode d in
+      check Alcotest.int (Printf.sprintf "sketch total words, domains=%d" d)
+        (Trace.Profile.total_words sketch_oracle)
+        (Trace.Profile.total_words merged))
+    [ 2; 4 ]
 
 (* Crash-at-round of a node whose pending delayed deliveries originate in
    a DIFFERENT shard: for each swept domain count, the sender sits just
@@ -467,7 +517,7 @@ let cross_shard_crash_purge () =
   in
   List.iter
     (fun d ->
-      let bounds = Simulator_par.shard_bounds ~domains:d g in
+      let bounds = Simulator.shard_bounds ~domains:d g in
       let boundary = bounds.(1) in
       check Alcotest.bool
         (Printf.sprintf "shard boundary interior, domains=%d" d)
@@ -483,7 +533,7 @@ let cross_shard_crash_purge () =
           crashes = [ { Fault.node = sender + 1; round = 2 } ];
         }
       in
-      let ((_, events, _) as obs_par) = observe (Par d) ~plan g program in
+      let ((_, events, _) as obs_par) = observe (Sim d) ~plan g program in
       let obs_ref = observe Ref ~plan g program in
       check Alcotest.bool
         (Printf.sprintf "sharded = reference, domains=%d" d)
@@ -500,16 +550,15 @@ let cross_shard_crash_purge () =
       check Alcotest.bool
         (Printf.sprintf "foreign-shard purge traced as Drop, domains=%d" d)
         true purged)
-    domain_counts
+    (List.filter (fun d -> d > 1) domain_counts)
 
 (* --- parallel-execution profiler --------------------------------------- *)
 
 (* Attaching a Par_profile collector must be invisible to every simulator
    observable — the instrumented-vs-uninstrumented sweep of the
-   observability PR's acceptance criteria. At each swept domain count
-   (including 1, where the collector forces the sharded core so the
-   single-shard baseline timeline exists), fault-free and under a fault
-   plan, traced and untraced: identical results, identical trace event
+   observability acceptance criteria. At each swept domain count
+   (including 1, whose single-shard timeline is the speedup baseline),
+   fault-free and under a fault plan, traced and untraced: identical results, identical trace event
    sequences, byte-identical Exact-mode congestion profiles, identical
    fault counters. *)
 let par_profile_transparent () =
@@ -525,8 +574,8 @@ let par_profile_transparent () =
     let faults = Option.map (fun p -> Fault.compile p) plan in
     let par_profile = if pp then Some (Par_profile.create ()) else None in
     let result =
-      Simulator_par.run_outcome ~domains:d ~bandwidth:2 ~tracer ?faults
-        ?par_profile g program
+      Simulator.run_outcome ~domains:d ~bandwidth:2 ~tracer ?faults ?par_profile g
+        program
     in
     ( result,
       Trace.Recorder.events recorder,
@@ -536,7 +585,7 @@ let par_profile_transparent () =
   in
   let untraced ~pp d =
     let par_profile = if pp then Some (Par_profile.create ()) else None in
-    (Simulator_par.run_outcome ~domains:d ~bandwidth:2 ?par_profile g program,
+    (Simulator.run_outcome ~domains:d ~bandwidth:2 ?par_profile g program,
      par_profile)
   in
   List.iter
@@ -569,7 +618,7 @@ let par_profile_transparent () =
       check Alcotest.bool
         (Printf.sprintf "untraced fast-path result, domains=%d" d)
         true (same_result r0 r1))
-    (1 :: domain_counts)
+    domain_counts
 
 (* The traffic matrix is an exact decomposition of the run's delivered
    traffic: cell (s, t) counts messages whose source lives in shard s and
@@ -595,7 +644,7 @@ let traffic_matrix_reconciles =
           let faults = Option.map (fun p -> Fault.compile p) plan in
           let stats =
             match
-              Simulator_par.run_outcome ~domains:d ~bandwidth:bw ?faults
+              Simulator.run_outcome ~domains:d ~bandwidth:bw ?faults
                 ~par_profile:pp g program
             with
             | Simulator.Finished (_, stats) -> stats
@@ -626,19 +675,19 @@ let traffic_matrix_reconciles =
    the historical [1,8] vs [1,32] split is gone. *)
 let clamp_unified () =
   check Alcotest.int "max_domains is the documented ceiling" 32
-    Simulator_par.max_domains;
-  let r = Simulator_par.recommended () in
+    Simulator.max_domains;
+  let r = Simulator.recommended () in
   check Alcotest.bool "recommended within [1, max_domains]" true
-    (r >= 1 && r <= Simulator_par.max_domains);
+    (r >= 1 && r <= Simulator.max_domains);
   let g = Generators.grid ~rows:8 ~cols:8 in
   (* Requests beyond the ceiling clamp to it (n = 64 > 32 here, so the
      node count is not the binding constraint). *)
-  let bounds = Simulator_par.shard_bounds ~domains:1000 g in
+  let bounds = Simulator.shard_bounds ~domains:1000 g in
   check Alcotest.int "shard_bounds clamps to max_domains"
-    Simulator_par.max_domains
+    Simulator.max_domains
     (Array.length bounds - 1);
   let tiny = Generators.path 3 in
-  let tb = Simulator_par.shard_bounds ~domains:1000 tiny in
+  let tb = Simulator.shard_bounds ~domains:1000 tiny in
   check Alcotest.int "node count still binds below the ceiling" 3
     (Array.length tb - 1)
 
@@ -647,7 +696,7 @@ let clamp_unified () =
    boundary. *)
 let cross_shard_graph_is_cross () =
   let g = cross_shard_graph 7 ~n:16 in
-  let bounds = Simulator_par.shard_bounds ~domains:2 g in
+  let bounds = Simulator.shard_bounds ~domains:2 g in
   let owner v = if v < bounds.(1) then 0 else 1 in
   let crossing = ref 0 and total = ref 0 in
   Graph.iter_edges g (fun _ u v ->
