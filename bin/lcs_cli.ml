@@ -583,7 +583,7 @@ let pa_cmd =
           let q = Quality.measure sc in
           let bound =
             Aggregate.bound ~congestion:q.Quality.congestion
-              ~dilation:(max 1 q.Quality.dilation) ~n:(Graph.n g)
+              ~dilation:(max 1 (Quality.dilation_bound q)) ~n:(Graph.n g)
           in
           let attempt (k : Supervisor.knobs) =
             (* knobs.seed offsets both randomness streams, so a retry is a

@@ -16,15 +16,37 @@ type result = {
   stats : Simulator.stats;
 }
 
+(* (part, value, causal id of the arrival that queued it — 0 for round-0
+   self-injections). The cause is simulation metadata, not wire payload, so
+   msg_words stays 1. *)
+type msg = int * int * int
+
+(* One node's PA state, updated in place. The node serves the parts in
+   [parts] (its slots); [best] and [known] are indexed by slot. *)
 type node_state = {
-  clock : int;
-  best : (int, int) Hashtbl.t;  (* part -> best value seen *)
-  queues : (int * int * int) Pqueue.t array;
-      (* per port: (part, value, causal id of the arrival that queued it —
-         0 for round-0 self-injections) by delay; the cause is simulation
-         metadata, not wire payload, so msg_words stays 1 *)
-  last_improved : int;  (* as a part member *)
+  mutable clock : int;
+  mutable last_improved : int;  (* as a part member *)
+  mutable queued : int;  (* messages waiting in [queues] *)
+  parts : int array;  (* ascending *)
+  part_ports : int array array;
+      (* per slot: the ports that part's subgraph uses at this node *)
+  best : int array;  (* per slot: best value seen, valid where [known] *)
+  known : bool array;
+  queues : msg Pqueue.t array;  (* per port, by delay *)
+  idle : node_state * msg Simulator.outbox;
+      (* the result of an activation that has nothing to do *)
 }
+
+let slot_of st part =
+  let rec find j =
+    if j = Array.length st.parts then -1 else if st.parts.(j) = part then j else find (j + 1)
+  in
+  find 0
+
+(* The best value [st] holds for [part], if any. *)
+let held st part =
+  let slot = slot_of st part in
+  if slot >= 0 && st.known.(slot) then Some st.best.(slot) else None
 
 (* Schedule parameters the observability layer needs back from setup. *)
 type sched = { max_delay : int; congestion : int; dilation : int }
@@ -42,15 +64,17 @@ let setup ?budget rng shortcut ~values =
     | None ->
         let bound =
           Aggregate.bound ~congestion:r.Quality.congestion
-            ~dilation:(max 1 r.Quality.dilation) ~n
+            ~dilation:(max 1 (Quality.dilation_bound r)) ~n
         in
         (4 * bound) + 32
   in
   let subgraphs = Subgraphs.of_shortcut shortcut in
   let max_delay = max 1 r.Quality.congestion in
   let delay = Array.init k (fun _ -> Rng.int rng max_delay) in
-  (* For each vertex: the ports its parts use, per part. Port = index into
-     the vertex's host adjacency, as the simulator addresses links. *)
+  (* For each vertex: the parts it serves (its slots, ascending) and, per
+     slot, the ports that part's subgraph uses there. Port = index into the
+     vertex's host adjacency, as the simulator addresses links. Every part
+     member is a vertex of its part's subgraph, so its own part has a slot. *)
   let port_of_edge =
     Array.init n (fun v ->
         let tbl = Hashtbl.create 8 in
@@ -58,97 +82,93 @@ let setup ?budget rng shortcut ~values =
             Hashtbl.replace tbl e port);
         tbl)
   in
-  let part_ports : (int, int list) Hashtbl.t array =
-    Array.init n (fun _ -> Hashtbl.create 4)
-  in
-  for i = 0 to k - 1 do
-    let adj = Subgraphs.adjacency subgraphs i in
+  let part_ports : (int * int array) list array = Array.make n [] in
+  for i = k - 1 downto 0 do
     Hashtbl.iter
       (fun v nbrs ->
         let ports =
-          List.map (fun (e, _w) -> Hashtbl.find port_of_edge.(v) e) nbrs
+          Array.of_list (List.map (fun (e, _w) -> Hashtbl.find port_of_edge.(v) e) nbrs)
         in
-        Hashtbl.replace part_ports.(v) i ports)
-      adj
+        part_ports.(v) <- (i, ports) :: part_ports.(v))
+      (Subgraphs.adjacency subgraphs i)
   done;
-  let enqueue st v part value cause ~skip_port =
-    match Hashtbl.find_opt part_ports.(v) part with
-    | None -> ()
-    | Some ports ->
-        List.iter
-          (fun port ->
-            if port <> skip_port then
-              Pqueue.push st.queues.(port) ~priority:delay.(part) (part, value, cause))
-          ports
+  let enqueue st slot value cause ~skip_port =
+    let part = st.parts.(slot) in
+    Array.iter
+      (fun port ->
+        if port <> skip_port then begin
+          Pqueue.push st.queues.(port) ~priority:delay.(part) (part, value, cause);
+          st.queued <- st.queued + 1
+        end)
+      st.part_ports.(slot)
   in
   let program =
     {
       Simulator.init =
         (fun ctx ->
           let v = ctx.Simulator.node in
-          let st =
+          let slots = List.length part_ports.(v) in
+          let rec st =
             {
               clock = 0;
-              best = Hashtbl.create 4;
+              last_improved = 0;
+              queued = 0;
+              parts = Array.of_list (List.map fst part_ports.(v));
+              part_ports = Array.of_list (List.map snd part_ports.(v));
+              best = Array.make slots 0;
+              known = Array.make slots false;
               queues =
                 Array.init (Array.length ctx.Simulator.neighbors) (fun _ ->
                     Pqueue.create ());
-              last_improved = 0;
+              idle = (st, []);
             }
           in
           let part = Partition.part_of partition v in
           if part >= 0 then begin
-            Hashtbl.replace st.best part values.(v);
-            enqueue st v part values.(v) 0 ~skip_port:(-1)
+            let slot = slot_of st part in
+            st.best.(slot) <- values.(v);
+            st.known.(slot) <- true;
+            enqueue st slot values.(v) 0 ~skip_port:(-1)
           end;
           st);
       on_round =
         (fun ctx st ~inbox ->
-          let v = ctx.Simulator.node in
-          let st = { st with clock = st.clock + 1 } in
-          (* Causal ids of the delivered messages, parallel to [inbox];
-             empty when the run is untraced (then every cause is 0). *)
-          let inbox_ids = Trace.Cause.inbox () in
-          let idx = ref (-1) in
-          let st =
-            List.fold_left
-              (fun st (port, (part, value, _cause)) ->
-                incr idx;
-                let improves =
-                  match Hashtbl.find_opt st.best part with
-                  | None -> true
-                  | Some b -> value < b
-                in
-                if improves then begin
-                  Hashtbl.replace st.best part value;
-                  let cause =
-                    if !idx < Array.length inbox_ids then inbox_ids.(!idx) else 0
-                  in
-                  enqueue st v part value cause ~skip_port:port;
-                  if Partition.part_of partition v = part then
-                    { st with last_improved = st.clock }
-                  else st
-                end
-                else st)
-              st inbox
-          in
-          if st.clock > budget then (st, [])
-          else begin
-            let out = ref [] in
-            Array.iteri
-              (fun port q ->
-                match Pqueue.pop_min q with
-                | Some (_prio, ((part, _value, cause) as msg)) ->
-                    if Trace.Cause.enabled () then
-                      Trace.Cause.emit ~port
-                        ~parents:(if cause > 0 then [ cause ] else [])
-                        ~part ~phase:"pa.flood" ();
-                    out := (port, msg) :: !out
-                | None -> ())
-              st.queues;
-            (st, !out)
-          end)
-      ;
+          st.clock <- st.clock + 1;
+          match inbox with
+          | [] when st.queued = 0 -> st.idle
+          | _ ->
+              let v = ctx.Simulator.node in
+              (* Causal ids of the delivered messages, parallel to [inbox];
+                 empty when the run is untraced (then every cause is 0). *)
+              let inbox_ids = Trace.Cause.inbox () in
+              List.iteri
+                (fun idx (port, (part, value, _cause)) ->
+                  let slot = slot_of st part in
+                  if slot >= 0 && ((not st.known.(slot)) || value < st.best.(slot)) then begin
+                    st.best.(slot) <- value;
+                    st.known.(slot) <- true;
+                    let cause = if idx < Array.length inbox_ids then inbox_ids.(idx) else 0 in
+                    enqueue st slot value cause ~skip_port:port;
+                    if Partition.part_of partition v = part then st.last_improved <- st.clock
+                  end)
+                inbox;
+              if st.clock > budget then st.idle
+              else begin
+                let out = ref [] in
+                Array.iteri
+                  (fun port q ->
+                    match Pqueue.pop_min q with
+                    | Some (_prio, ((part, _value, cause) as msg)) ->
+                        st.queued <- st.queued - 1;
+                        if Trace.Cause.enabled () then
+                          Trace.Cause.emit ~port
+                            ~parents:(if cause > 0 then [ cause ] else [])
+                            ~part ~phase:"pa.flood" ();
+                        out := (port, msg) :: !out
+                    | None -> ())
+                  st.queues;
+                (st, !out)
+              end);
       is_halted = (fun st -> st.clock > budget);
       (* (part, value): two O(log n)-bit fields = one CONGEST word. *)
       msg_words = (fun _ -> 1);
@@ -184,7 +204,7 @@ let minimum ?budget ?domains ?obs ?tracer ?par_profile rng shortcut ~values =
     (fun v st ->
       let part = Partition.part_of partition v in
       if part >= 0 then
-        match Hashtbl.find_opt st.best part with
+        match held st part with
         | Some b when b = reference.(part) -> ()
         | _ -> failwith "Sim_aggregate: part did not converge within budget")
     states;
@@ -231,11 +251,11 @@ let minimum_outcome ?budget ?domains ?max_rounds ?obs ?tracer ?faults ?par_profi
     | Some b -> Some b
     | None when not reliable -> None
     | None ->
-        let r = Lcs_shortcut.Quality.measure shortcut in
+        let r = Quality.measure shortcut in
         let n = Graph.n (Shortcut.graph shortcut) in
         let bound =
-          Aggregate.bound ~congestion:r.Lcs_shortcut.Quality.congestion
-            ~dilation:(max 1 r.Lcs_shortcut.Quality.dilation) ~n
+          Aggregate.bound ~congestion:r.Quality.congestion
+            ~dilation:(max 1 (Quality.dilation_bound r)) ~n
         in
         Some (8 * ((4 * bound) + 32))
   in
@@ -295,7 +315,7 @@ let minimum_outcome ?budget ?domains ?max_rounds ?obs ?tracer ?faults ?par_profi
     Array.iter
       (fun v ->
         if not dead.(v) then
-          match Hashtbl.find_opt states.(v).best i with
+          match held states.(v) i with
           | Some b when b = minima.(i) -> ()
           | _ -> bad := true)
       members;

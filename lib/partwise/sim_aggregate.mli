@@ -37,7 +37,9 @@ val minimum :
 (** [minimum rng shortcut ~values]: every part's minimum, computed by
     flooding inside each part's shortcut subgraph under the simulator.
     [budget] defaults to [4·(c + d·log n) + 32] with (c,d) measured from
-    the shortcut — generous enough for the schedule bound, and the
+    the shortcut ([d] = {!Lcs_shortcut.Quality.dilation_bound}, certified
+    even where a part is too large for exact dilation) — generous enough
+    for the schedule bound, and the
     returned [completion_round] shows the real finish time. Raises
     [Failure] if some part had not converged within the budget. [tracer]
     observes the underlying {!Lcs_congest.Simulator} run — its per-edge

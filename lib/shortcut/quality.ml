@@ -6,6 +6,7 @@ module Union_find = Lcs_graph.Union_find
 type report = {
   congestion : int;
   dilation : int;
+  dilation_exact : bool;
   quality : int;
   max_block_number : int;
   covered : int;
@@ -24,76 +25,104 @@ let edge_load sc =
 
 let congestion sc = Array.fold_left max 0 (edge_load sc)
 
-(* The subgraph G[P_i] + H_i as an explicit graph. Vertices: P_i plus every
-   endpoint of an H_i edge; edges: host edges internal to P_i plus H_i. *)
-let part_subgraph sc i =
+(* Host-sized scratch shared by the parts of one measurement: [local] maps
+   a host vertex to its id in the current part's subgraph (-1 outside it)
+   and [taken] marks the H_i edges already added. Every use clears what it
+   set, so one scratch serves all k parts in O(n + m) space. *)
+type scratch = { local : int array; taken : Bytes.t }
+
+let scratch host =
+  { local = Array.make (Graph.n host) (-1); taken = Bytes.make (Graph.m host) '\000' }
+
+(* Number the vertices of G[P_i] + H_i in [s.local]: the members of P_i in
+   order, then each endpoint of an H_i edge at its first appearance.
+   Returns the host vertex of every local id; [release] unmaps them. *)
+let number s sc i =
   let host = Shortcut.graph sc in
-  let partition = Shortcut.partition sc in
-  let members = Partition.members partition i in
-  let renumber = Hashtbl.create (2 * Array.length members) in
-  let fresh = ref 0 in
+  let members = Partition.members (Shortcut.partition sc) i in
+  Array.iteri (fun id v -> s.local.(v) <- id) members;
+  let fresh = ref (Array.length members) and extra = ref [] in
   let intern v =
-    match Hashtbl.find_opt renumber v with
-    | Some id -> id
-    | None ->
-        let id = !fresh in
-        incr fresh;
-        Hashtbl.add renumber v id;
-        id
-  in
-  Array.iter (fun v -> ignore (intern v)) members;
-  let edge_seen = Hashtbl.create 64 in
-  let edge_list = ref [] in
-  let add_edge e u v =
-    if not (Hashtbl.mem edge_seen e) then begin
-      Hashtbl.add edge_seen e ();
-      edge_list := (intern u, intern v) :: !edge_list
+    if s.local.(v) < 0 then begin
+      s.local.(v) <- !fresh;
+      incr fresh;
+      extra := v :: !extra
     end
   in
   Array.iter
+    (fun e ->
+      let u, v = Graph.edge_endpoints host e in
+      intern u;
+      intern v)
+    (Shortcut.edges_array sc i);
+  if !extra = [] then members else Array.append members (Array.of_list (List.rev !extra))
+
+let release s verts = Array.iter (fun v -> s.local.(v) <- -1) verts
+
+(* The subgraph G[P_i] + H_i as an explicit graph. Vertices: P_i plus every
+   endpoint of an H_i edge; edges: host edges internal to P_i plus H_i (an
+   H_i edge internal to P_i, or repeated in H_i, is taken once). *)
+let part_subgraph s sc i =
+  let host = Shortcut.graph sc in
+  let partition = Shortcut.partition sc in
+  let verts = number s sc i in
+  let local = s.local in
+  let edges = ref [] in
+  Array.iter
     (fun v ->
-      Graph.iter_adj host v (fun w e ->
-          if v < w && Partition.part_of partition w = i then add_edge e v w))
-    members;
+      Graph.iter_adj host v (fun w _e ->
+          if v < w && Partition.part_of partition w = i then
+            edges := (local.(v), local.(w)) :: !edges))
+    (Partition.members partition i);
+  let hi = Shortcut.edges_array sc i in
   Array.iter
     (fun e ->
       let u, v = Graph.edge_endpoints host e in
-      add_edge e u v)
-    (Shortcut.edges_array sc i);
-  Graph.create ~n:!fresh (List.rev !edge_list)
+      let internal = Partition.part_of partition u = i && Partition.part_of partition v = i in
+      if not (internal || Bytes.get s.taken e <> '\000') then begin
+        Bytes.set s.taken e '\001';
+        edges := (local.(u), local.(v)) :: !edges
+      end)
+    hi;
+  Array.iter (fun e -> Bytes.set s.taken e '\000') hi;
+  let sub = Graph.create ~n:(Array.length verts) (List.rev !edges) in
+  release s verts;
+  sub
 
-let part_dilation ?(exact_limit = 4096) sc i =
-  let sub = part_subgraph sc i in
-  Diameter.of_graph ~exact_limit sub
+(* [(diameter, exact)]: the diameter of G[P_i] + H_i when the subgraph has
+   at most [exact_limit] vertices, else the double-sweep lower bound. *)
+let measure_dilation s ?(exact_limit = 4096) sc i =
+  let sub = part_subgraph s sc i in
+  (Diameter.of_graph ~exact_limit sub, Graph.n sub <= exact_limit)
+
+let part_dilation ?exact_limit sc i =
+  fst (measure_dilation (scratch (Shortcut.graph sc)) ?exact_limit sc i)
 
 let dilation ?exact_limit sc =
+  let s = scratch (Shortcut.graph sc) in
   let best = ref 0 in
   for i = 0 to Shortcut.k sc - 1 do
     if Shortcut.is_covered sc i then begin
-      let d = part_dilation ?exact_limit sc i in
+      let d, _ = measure_dilation s ?exact_limit sc i in
       if d > !best then best := d
     end
   done;
   !best
 
-let part_blocks sc i =
+(* Union-find over the involved vertices, joined by H_i edges only. *)
+let count_blocks s sc i =
   let host = Shortcut.graph sc in
-  let partition = Shortcut.partition sc in
-  let members = Partition.members partition i in
-  (* Union-find over the involved vertices, joined by H_i edges only. *)
-  let uf = Union_find.create (Graph.n host) in
-  let involved = Hashtbl.create (2 * Array.length members) in
-  Array.iter (fun v -> Hashtbl.replace involved v ()) members;
+  let verts = number s sc i in
+  let uf = Union_find.create (Array.length verts) in
   Array.iter
     (fun e ->
       let u, v = Graph.edge_endpoints host e in
-      Hashtbl.replace involved u ();
-      Hashtbl.replace involved v ();
-      ignore (Union_find.union uf u v))
+      ignore (Union_find.union uf s.local.(u) s.local.(v)))
     (Shortcut.edges_array sc i);
-  let roots = Hashtbl.create 16 in
-  Hashtbl.iter (fun v () -> Hashtbl.replace roots (Union_find.find uf v) ()) involved;
-  Hashtbl.length roots
+  release s verts;
+  Union_find.count uf
+
+let part_blocks sc i = count_blocks (scratch (Shortcut.graph sc)) sc i
 
 type part_traffic = {
   part : int;
@@ -171,14 +200,17 @@ let traffic_to_json tr =
 
 let measure ?exact_limit sc =
   let k = Shortcut.k sc in
+  let s = scratch (Shortcut.graph sc) in
   let per_part_dilation = Array.make k (-1) in
   let per_part_blocks = Array.make k (-1) in
-  let covered = ref 0 in
+  let covered = ref 0 and dilation_exact = ref true in
   for i = 0 to k - 1 do
     if Shortcut.is_covered sc i then begin
       incr covered;
-      per_part_dilation.(i) <- part_dilation ?exact_limit sc i;
-      per_part_blocks.(i) <- part_blocks sc i
+      let d, exact = measure_dilation s ?exact_limit sc i in
+      per_part_dilation.(i) <- d;
+      if not exact then dilation_exact := false;
+      per_part_blocks.(i) <- count_blocks s sc i
     end
   done;
   let load = edge_load sc in
@@ -187,6 +219,7 @@ let measure ?exact_limit sc =
   {
     congestion;
     dilation;
+    dilation_exact = !dilation_exact;
     quality = congestion + dilation;
     max_block_number = Array.fold_left max 0 per_part_blocks;
     covered = !covered;
@@ -195,7 +228,10 @@ let measure ?exact_limit sc =
     edge_load = load;
   }
 
+let dilation_bound r = if r.dilation_exact then r.dilation else 2 * r.dilation
+
 let pp_report ppf r =
+  let rel = if r.dilation_exact then "=" else ">=" in
   Format.fprintf ppf
-    "quality=%d (congestion=%d, dilation=%d), blocks<=%d, covered=%d"
-    r.quality r.congestion r.dilation r.max_block_number r.covered
+    "quality%s%d (congestion=%d, dilation%s%d), blocks<=%d, covered=%d"
+    rel r.quality r.congestion rel r.dilation r.max_block_number r.covered

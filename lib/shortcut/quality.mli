@@ -6,11 +6,22 @@
     sum. For tree-restricted shortcuts the block number (Def 2.3) of part
     [P_i] is the number of connected components of [(P_i ∪ V(H_i), H_i)];
     Observation 2.6 bounds dilation by [b(2D+1)], which the tests verify
-    against these measurements. *)
+    against these measurements.
+
+    Dilation is exact unless some part's subgraph exceeds [exact_limit]
+    vertices; then that part reports a double-sweep lower bound, the
+    report's [dilation_exact] is [false], {!pp_report} prints
+    [dilation>=], and {!dilation_bound} is the certified upper bound to
+    size anything from. *)
 
 type report = {
   congestion : int;
   dilation : int;
+  dilation_exact : bool;
+      (** [true] when every covered part's diameter was computed exactly;
+          [false] when some part's subgraph exceeded [exact_limit], so
+          [dilation] (and [quality]) is a lower bound — {!dilation_bound}
+          gives a certified upper bound in that case *)
   quality : int;  (** congestion + dilation *)
   max_block_number : int;
   covered : int;  (** number of covered parts (measured parts) *)
@@ -24,10 +35,12 @@ val congestion : Shortcut.t -> int
 val edge_load : Shortcut.t -> int array
 
 val part_dilation : ?exact_limit:int -> Shortcut.t -> int -> int
-(** Diameter of [G[P_i] + H_i]. Exact when that subgraph has at most
-    [exact_limit] (default 4096) vertices, otherwise a double-sweep lower
-    bound. Raises [Invalid_argument] if the subgraph is disconnected —
-    which cannot happen for shortcuts produced by {!Construct}. *)
+(** Diameter of [G[P_i] + H_i]. Exact ({!Lcs_graph.Diameter.exact}) when
+    that subgraph has at most [exact_limit] (default 4096) vertices,
+    otherwise a double-sweep lower bound. Raises [Invalid_argument] if the
+    subgraph is disconnected — which cannot happen for shortcuts produced
+    by {!Construct}. One call takes O(n + m) host-sized scratch; {!measure}
+    and {!dilation} share one scratch across all parts. *)
 
 val dilation : ?exact_limit:int -> Shortcut.t -> int
 (** Max over covered parts. Uncovered parts are skipped: a partial
@@ -38,6 +51,15 @@ val part_blocks : Shortcut.t -> int -> int
     [(P_i ∪ V(H_i), H_i)]. Meaningful for tree-restricted shortcuts. *)
 
 val measure : ?exact_limit:int -> Shortcut.t -> report
+(** Every figure of merit at once. [exact_limit] is {!part_dilation}'s;
+    [dilation_exact] is [false] when some covered part exceeded it. *)
+
+val dilation_bound : report -> int
+(** A certified upper bound on the dilation: [dilation] when exact, else
+    [2 · dilation]. Sound because each inexact part reports the largest
+    eccentricity [ecc(v)] its double sweep saw, and a diameter is at most
+    [2·ecc(v)] for any vertex [v]. This is what round budgets are sized
+    from. *)
 
 type part_traffic = {
   part : int;
@@ -59,3 +81,5 @@ val traffic : Shortcut.t -> edge_words:int array -> part_traffic array
 val traffic_to_json : part_traffic array -> Lcs_util.Json.t
 
 val pp_report : Format.formatter -> report -> unit
+(** One line; prints [dilation>=] and [quality>=] when the dilation is a
+    lower bound ([dilation_exact = false]). *)

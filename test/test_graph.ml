@@ -214,6 +214,59 @@ let diameter_estimate_tree =
       let b = Diameter.estimate g in
       b.Diameter.lower = Diameter.exact g)
 
+(* The all-pairs oracle: the largest BFS eccentricity. *)
+let naive_diameter g =
+  let best = ref 0 in
+  for v = 0 to Graph.n g - 1 do
+    let d = Bfs.eccentricity g v in
+    if d > !best then best := d
+  done;
+  !best
+
+(* A grid with [remove] random non-bridge edges deleted one at a time, so it
+   stays connected while its distances stretch. *)
+let grid_minus_non_bridges rng ~rows ~cols ~remove =
+  let rec go g remove =
+    if remove = 0 then g
+    else
+      let bridges = Dfs.bridges g in
+      let spare =
+        List.filter (fun e -> not (List.mem e bridges)) (List.init (Graph.m g) Fun.id)
+      in
+      match spare with
+      | [] -> g
+      | _ ->
+          let cut = List.nth spare (Rng.int rng (List.length spare)) in
+          let keep = List.filter (fun e -> e <> cut) (List.init (Graph.m g) Fun.id) in
+          go (Graph.create ~n:(Graph.n g) (List.map (Graph.edge_endpoints g) keep)) (remove - 1)
+  in
+  go (Generators.grid ~rows ~cols) remove
+
+let diameter_family seed family size =
+  let rng = Rng.create seed in
+  match family with
+  | 0 -> Generators.path size
+  | 1 -> Generators.cycle (max 3 size)
+  | 2 -> Generators.random_tree rng ~n:size
+  | 3 -> Generators.k_tree rng ~k:(1 + Rng.int rng 4) ~n:(size + 5)
+  | 4 ->
+      let rows = 2 + Rng.int rng 8 and cols = 2 + Rng.int rng 8 in
+      grid_minus_non_bridges rng ~rows ~cols ~remove:(Rng.int rng (rows * cols / 2 + 1))
+  | 5 ->
+      let delta' = 5 + Rng.int rng 2 in
+      let d' = (3 * (delta' - 2)) + 2 + Rng.int rng 8 in
+      (Lower_bound_graph.create ~delta' ~d').Lower_bound_graph.graph
+  | _ -> random_connected_graph seed ~n:size ~extra:(Rng.int rng (2 * size))
+
+let diameter_exact_matches_oracle =
+  QCheck.Test.make ~name:"exact diameter = all-pairs oracle, inside estimate" ~count:300
+    QCheck.(triple (int_bound 100_000) (int_bound 6) (int_range 1 80))
+    (fun (seed, family, size) ->
+      let g = diameter_family seed family size in
+      let d = Diameter.exact g in
+      let b = Diameter.estimate g in
+      d = naive_diameter g && b.Diameter.lower <= d && d <= b.Diameter.upper)
+
 let diameter_cycle () =
   let g = Generators.cycle 12 in
   check Alcotest.int "cycle diameter" 6 (Diameter.exact g);
@@ -660,6 +713,7 @@ let props =
     [
       bfs_tree_depths_match;
       diameter_estimate_tree;
+      diameter_exact_matches_oracle;
       tree_bottom_up_order;
       partition_voronoi_covers;
       partition_random_blobs;

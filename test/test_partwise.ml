@@ -216,6 +216,134 @@ let sim_aggregate_wheel () =
   check Alcotest.bool "bandwidth respected" true
     (out.Sim_aggregate.stats.Simulator.max_edge_load <= 1)
 
+(* --- Pinned PA outputs ------------------------------------------------------- *)
+
+(* Every observable of a simulated PA run, rendered as [key=value] lines: the
+   answers, the round and message accounting, the exact per-part dilation,
+   and digests of the Trace.Profile JSON and of the full event stream (which
+   carries the causal ids). The expected lines are fixed: a change to the PA
+   program or to the dilation measurement must reproduce them byte for
+   byte. *)
+let ints a = String.concat "," (Array.to_list (Array.map string_of_int a))
+let digest j = Digest.to_hex (Digest.string (Json.to_string j))
+
+let stats_line (s : Simulator.stats) =
+  Printf.sprintf "stats=%d,%d,%d,%d" s.Simulator.rounds s.Simulator.messages
+    s.Simulator.words s.Simulator.max_edge_load
+
+let traced_run sc run =
+  let profile = Trace.Profile.create ~edges:(Graph.m (Shortcut.graph sc)) () in
+  let recorder = Trace.Recorder.create ~cap:0 () in
+  let tracer = Trace.tee [ Trace.Profile.tracer profile; Trace.Recorder.tracer recorder ] in
+  let out = run tracer in
+  ( out,
+    [
+      "profile=" ^ digest (Trace.Profile.to_json profile);
+      "events=" ^ digest (Trace.Recorder.to_json recorder);
+    ] )
+
+let pa_fingerprint sc ~values ~seed =
+  let line (r : Sim_aggregate.result) =
+    [
+      "minima=" ^ ints r.Sim_aggregate.minima;
+      Printf.sprintf "rounds=%d" r.Sim_aggregate.rounds;
+      Printf.sprintf "completion_round=%d" r.Sim_aggregate.completion_round;
+      Printf.sprintf "messages=%d" r.Sim_aggregate.messages;
+      stats_line r.Sim_aggregate.stats;
+    ]
+  in
+  let plain = Sim_aggregate.minimum (Rng.create seed) sc ~values in
+  let traced, digests =
+    traced_run sc (fun tracer -> Sim_aggregate.minimum ~tracer (Rng.create seed) sc ~values)
+  in
+  check (Alcotest.list Alcotest.string) "tracing is observational" (line plain) (line traced);
+  line plain
+  @ [ "per_part_dilation=" ^ ints (Quality.measure sc).Quality.per_part_dilation ]
+  @ digests
+
+let pinned_grid_rows () =
+  let g = Generators.grid ~rows:12 ~cols:12 in
+  let partition = Partition.grid_rows g ~rows:12 ~cols:12 in
+  let sc = (Boost.full partition ~tree:(Bfs.tree g ~root:0)).Boost.shortcut in
+  let values = Array.init 144 (fun v -> (v * 7919) mod 10007) in
+  check (Alcotest.list Alcotest.string) "grid 12, rows"
+    [
+      "minima=0,356,1145,279,1068,202,991,125,914,48,837,404";
+      "rounds=785";
+      "completion_round=25";
+      "messages=3453";
+      "stats=785,3453,3453,1";
+      "per_part_dilation=11,12,13,14,15,16,17,18,19,20,21,22";
+      "profile=2345c89d56194ada285271da8da4b70b";
+      "events=db94c156f10fbea7d72de8c0115cef51";
+    ]
+    (pa_fingerprint sc ~values ~seed:21)
+
+let pinned_ktree_voronoi () =
+  let g = Generators.k_tree (Rng.create 5) ~k:3 ~n:150 in
+  let partition = Partition.voronoi g (Rng.create 6) ~parts:6 in
+  let sc = (Boost.full partition ~tree:(Bfs.tree g ~root:0)).Boost.shortcut in
+  let values = Array.init 150 (fun v -> (v * 7919) mod 10007) in
+  check (Alcotest.list Alcotest.string) "3-tree, voronoi 6"
+    [
+      "minima=48,0,404,6389,125,4580";
+      "rounds=217";
+      "completion_round=9";
+      "messages=2722";
+      "stats=217,2722,2722,1";
+      "per_part_dilation=5,5,3,2,4,2";
+      "profile=c22a31a4605188e7a660b0053b9a1a5d";
+      "events=131ac1de8abe796a27dd4afc00169c86";
+    ]
+    (pa_fingerprint sc ~values ~seed:22)
+
+(* The ARQ-wrapped program under plans/light_loss.json: Reliable.wrap holds
+   the PA state across retransmissions, so this pins the mutable state under
+   loss, duplication and reordering. *)
+let pinned_reliable_light_loss () =
+  let plan =
+    match
+      Fault.load_plan
+        (Filename.concat (Filename.dirname Sys.executable_name) "../plans/light_loss.json")
+    with
+    | Ok p -> p
+    | Error e -> Alcotest.fail e
+  in
+  let g = Generators.grid ~rows:8 ~cols:8 in
+  let partition = Partition.grid_rows g ~rows:8 ~cols:8 in
+  let sc = (Boost.full partition ~tree:(Bfs.tree g ~root:0)).Boost.shortcut in
+  let values = Array.init 64 (fun v -> (v * 7919) mod 10007) in
+  let outcome, digests =
+    traced_run sc (fun tracer ->
+        Sim_aggregate.minimum_outcome ~reliable:true ~tracer ~faults:(Fault.compile plan)
+          (Rng.create 23) sc ~values)
+  in
+  let kind, r =
+    match outcome with
+    | Outcome.Complete r -> ("complete", r)
+    | Outcome.Degraded (r, _) -> ("degraded", r)
+  in
+  check (Alcotest.list Alcotest.string) "grid 8, rows, light_loss, reliable"
+    [
+      "outcome=complete";
+      "minima=0,789,356,1578,712,279,1501,635";
+      "diverged=";
+      "completion_round=63";
+      "retransmissions=104";
+      "stats=3240,1987,1987,1";
+      "profile=dffae4e1e8f99ea05bf77347738f3a78";
+      "events=9c3189b0ddf311dd36b06fd4ded8461f";
+    ]
+    ([
+       "outcome=" ^ kind;
+       "minima=" ^ ints r.Sim_aggregate.minima;
+       "diverged=" ^ ints (Array.of_list r.Sim_aggregate.diverged);
+       Printf.sprintf "completion_round=%d" r.Sim_aggregate.completion_round;
+       Printf.sprintf "retransmissions=%d" r.Sim_aggregate.retransmissions;
+       stats_line r.Sim_aggregate.ostats;
+     ]
+    @ digests)
+
 (* --- Schedule policies ------------------------------------------------------ *)
 
 let policies_all_correct () =
@@ -265,6 +393,9 @@ let suite =
     case "router: path completes" `Quick router_detects_disconnected_subgraph;
     case "router: bandwidth monotone" `Quick router_bandwidth_speedup;
     case "sim aggregate: wheel" `Quick sim_aggregate_wheel;
+    case "sim aggregate: pinned grid rows" `Quick pinned_grid_rows;
+    case "sim aggregate: pinned k-tree voronoi" `Quick pinned_ktree_voronoi;
+    case "sim aggregate: pinned reliable light loss" `Quick pinned_reliable_light_loss;
     case "tree router: generic combine" `Quick tree_router_generic_combine;
     case "tree router: message economy" `Quick tree_router_message_economy;
     case "schedule: policies all correct" `Quick policies_all_correct;

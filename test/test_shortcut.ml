@@ -95,6 +95,49 @@ let quality_blocks () =
   let sc2 = Shortcut.create p [| [ 0; 4 ]; []; [] |] in
   check Alcotest.int "merged member block" 2 (Quality.part_blocks sc2 0)
 
+let quality_dedups_subgraph_edges () =
+  (* H_i may repeat an edge or reuse one internal to P_i; the subgraph
+     G[P_i] + H_i takes each once. Part {5,6} plus edge 4 (vertices 4-5). *)
+  let g = Generators.path 7 in
+  let p = Partition.of_parts g [ [ 0; 1 ]; [ 3 ]; [ 5; 6 ] ] in
+  let sc = Shortcut.create p [| []; []; [ 4; 5; 4; 5 ] |] in
+  check Alcotest.int "dilation" 2 (Quality.part_dilation sc 2);
+  check Alcotest.int "blocks" 1 (Quality.part_blocks sc 2)
+
+let quality_flags_bound_dilation () =
+  (* Above [exact_limit] a part's dilation is the double-sweep lower bound:
+     the report says so, and [dilation_bound] doubles it into a certified
+     upper bound. The rim of a 33-wheel is a 32-cycle of diameter 16. *)
+  let n = 33 in
+  let g = Generators.wheel n in
+  let p = Partition.of_parts g [ List.init (n - 1) (fun i -> i + 1) ] in
+  let sc = Shortcut.empty p in
+  let show r = Format.asprintf "%a" Quality.pp_report r in
+  let exact = Quality.measure sc in
+  check Alcotest.bool "exact flag" true exact.Quality.dilation_exact;
+  check Alcotest.int "exact bound is the value" 16 (Quality.dilation_bound exact);
+  check Alcotest.string "exact report"
+    "quality=16 (congestion=0, dilation=16), blocks<=32, covered=1" (show exact);
+  let lower = Quality.measure ~exact_limit:1 sc in
+  check Alcotest.bool "bound flag" false lower.Quality.dilation_exact;
+  check Alcotest.int "bound doubles" 32 (Quality.dilation_bound lower);
+  check Alcotest.string "bound report"
+    "quality>=16 (congestion=0, dilation>=16), blocks<=32, covered=1" (show lower)
+
+let dilation_bound_brackets =
+  QCheck.Test.make ~name:"measure ~exact_limit:1 brackets exact dilation" ~count:25
+    QCheck.(triple (int_bound 1000) (int_range 6 60) (int_range 1 8))
+    (fun (seed, n, parts) ->
+      let _g, partition, tree = random_setup seed ~n ~extra:(n / 3) ~parts in
+      let sc = (Boost.full partition ~tree).Boost.shortcut in
+      let exact = Quality.measure sc and lower = Quality.measure ~exact_limit:1 sc in
+      exact.Quality.dilation_exact
+      && lower.Quality.dilation <= exact.Quality.dilation
+      && exact.Quality.dilation <= Quality.dilation_bound lower
+      && Array.for_all2
+           (fun l e -> l <= e && e <= 2 * l)
+           lower.Quality.per_part_dilation exact.Quality.per_part_dilation)
+
 (* --- Construct: Theorem 3.1 invariants ---------------------------------- *)
 
 let construct_grid_rows () =
@@ -424,6 +467,7 @@ let props =
   List.map QCheck_alcotest.to_alcotest
     [
       construct_invariants;
+      dilation_bound_brackets;
       construct_blame_degree_matches_selection;
       blame_reps_are_minimal_depth;
       boost_covers_everything;
@@ -439,6 +483,8 @@ let suite =
     case "quality: wheel" `Quick quality_wheel;
     case "quality: congestion counts" `Quick quality_congestion_counts;
     case "quality: blocks" `Quick quality_blocks;
+    case "quality: subgraph edges taken once" `Quick quality_dedups_subgraph_edges;
+    case "quality: bound dilation is flagged" `Quick quality_flags_bound_dilation;
     case "construct: grid rows" `Quick construct_grid_rows;
     case "construct: no overcongestion when few parts" `Quick
       construct_no_overcongestion_when_few_parts;
