@@ -3,7 +3,8 @@
    exists to kill) plus wall time. Four workloads — graph-flood
    broadcast, synchronous BFS, part-wise aggregation under the enforced
    model, and the Theorem 1.5 distributed construction — each on grid /
-   k-tree / lower-bound topologies at two sizes.
+   k-tree / lower-bound topologies at two sizes. Two router rows run the
+   packet-level part-wise routers (flooding and tree sum) on grid16.
 
    The broadcast workload additionally runs bit-identically on the
    retained reference core (Simulator_ref), and the report carries the
@@ -167,6 +168,28 @@ let partwise_entries =
     make "lbg5_30" true (fun () ->
         let lbg = Lower_bound_graph.create ~delta':5 ~d':30 in
         boosted lbg.Lower_bound_graph.graph lbg.Lower_bound_graph.parts);
+  ]
+
+(* The packet-level part-wise routers, outside the simulator: min-flooding
+   (Packet_router) and the tree convergecast/broadcast sum (Tree_router)
+   over the boosted grid16 row shortcut. *)
+let router_entries =
+  let make name run =
+    {
+      name = "router/" ^ name ^ "/grid16";
+      large = false;
+      prepare =
+        (fun () ->
+          let g = Generators.grid ~rows:16 ~cols:16 in
+          let tree = Bfs.tree g ~root:0 in
+          let sc = (Boost.full (Partition.grid_rows g ~rows:16 ~cols:16) ~tree).Boost.shortcut in
+          let values = Array.init (Graph.n g) (fun v -> (v * 131) mod 65_521) in
+          fun () -> run sc ~values);
+    }
+  in
+  [
+    make "packet" (fun sc ~values -> ignore (Packet_router.route (Rng.create 17) sc ~values));
+    make "tree" (fun sc ~values -> ignore (Tree_router.sum (Rng.create 17) sc ~values));
   ]
 
 (* Faulty-run overhead: the same flood under the canned light-loss
@@ -544,7 +567,7 @@ let run_suite ~quick ~iters =
         (s.seconds *. 1e3);
       bench_rows := (e.name, sample_json s) :: !bench_rows)
     (selected
-       (sync_bfs_entries @ partwise_entries @ faulty_entries @ traced_entries
+       (sync_bfs_entries @ partwise_entries @ router_entries @ faulty_entries @ traced_entries
       @ par_obs_entries @ distributed_entries));
   ( Json.Obj
       [

@@ -261,11 +261,22 @@ let pa_fingerprint sc ~values ~seed =
   @ [ "per_part_dilation=" ^ ints (Quality.measure sc).Quality.per_part_dilation ]
   @ digests
 
-let pinned_grid_rows () =
+(* The two pinned hosts: the boosted grid-row shortcut of grid12 and the
+   boosted Voronoi-6 shortcut of a 150-vertex 3-tree, with their values. *)
+let grid12_rows () =
   let g = Generators.grid ~rows:12 ~cols:12 in
   let partition = Partition.grid_rows g ~rows:12 ~cols:12 in
-  let sc = (Boost.full partition ~tree:(Bfs.tree g ~root:0)).Boost.shortcut in
-  let values = Array.init 144 (fun v -> (v * 7919) mod 10007) in
+  ( (Boost.full partition ~tree:(Bfs.tree g ~root:0)).Boost.shortcut,
+    Array.init 144 (fun v -> (v * 7919) mod 10007) )
+
+let ktree_voronoi6 () =
+  let g = Generators.k_tree (Rng.create 5) ~k:3 ~n:150 in
+  let partition = Partition.voronoi g (Rng.create 6) ~parts:6 in
+  ( (Boost.full partition ~tree:(Bfs.tree g ~root:0)).Boost.shortcut,
+    Array.init 150 (fun v -> (v * 7919) mod 10007) )
+
+let pinned_grid_rows () =
+  let sc, values = grid12_rows () in
   check (Alcotest.list Alcotest.string) "grid 12, rows"
     [
       "minima=0,356,1145,279,1068,202,991,125,914,48,837,404";
@@ -280,10 +291,7 @@ let pinned_grid_rows () =
     (pa_fingerprint sc ~values ~seed:21)
 
 let pinned_ktree_voronoi () =
-  let g = Generators.k_tree (Rng.create 5) ~k:3 ~n:150 in
-  let partition = Partition.voronoi g (Rng.create 6) ~parts:6 in
-  let sc = (Boost.full partition ~tree:(Bfs.tree g ~root:0)).Boost.shortcut in
-  let values = Array.init 150 (fun v -> (v * 7919) mod 10007) in
+  let sc, values = ktree_voronoi6 () in
   check (Alcotest.list Alcotest.string) "3-tree, voronoi 6"
     [
       "minima=48,0,404,6389,125,4580";
@@ -344,6 +352,166 @@ let pinned_reliable_light_loss () =
      ]
     @ digests)
 
+(* [minimum] is the fault-free raw run of [minimum_outcome]: same answers,
+   counts and event stream. *)
+let raw_outcome_is_minimum () =
+  List.iter
+    (fun (name, (sc, values)) ->
+      let r, digests =
+        traced_run sc (fun tracer -> Sim_aggregate.minimum ~tracer (Rng.create 24) sc ~values)
+      in
+      let outcome, outcome_digests =
+        traced_run sc (fun tracer ->
+            Sim_aggregate.minimum_outcome ~reliable:false ~tracer (Rng.create 24) sc ~values)
+      in
+      let kind, o =
+        match outcome with
+        | Outcome.Complete o -> ("complete", o)
+        | Outcome.Degraded (o, _) -> ("degraded", o)
+      in
+      check (Alcotest.list Alcotest.string) name
+        ([
+           "outcome=complete";
+           "minima=" ^ ints r.Sim_aggregate.minima;
+           "diverged=";
+           Printf.sprintf "completion_round=%d" r.Sim_aggregate.completion_round;
+           stats_line r.Sim_aggregate.stats;
+         ]
+        @ digests)
+        ([
+           "outcome=" ^ kind;
+           "minima=" ^ ints o.Sim_aggregate.minima;
+           "diverged=" ^ ints (Array.of_list o.Sim_aggregate.diverged);
+           Printf.sprintf "completion_round=%d" o.Sim_aggregate.completion_round;
+           stats_line o.Sim_aggregate.ostats;
+         ]
+        @ outcome_digests))
+    [ ("grid 12, rows", grid12_rows ()); ("3-tree, voronoi 6", ktree_voronoi6 ()) ]
+
+let minimum_budget_exhausted () =
+  let sc, values = grid12_rows () in
+  Alcotest.check_raises "budget 1"
+    (Failure "Sim_aggregate: part did not converge within budget") (fun () ->
+      ignore (Sim_aggregate.minimum ~budget:1 (Rng.create 21) sc ~values))
+
+(* --- Pinned router outputs --------------------------------------------------- *)
+
+(* Both routers on a pinned host, one block of lines per configuration: the
+   counts, per-part completion rounds and answers, then the digests of the
+   traced run (the profile, and the event stream with its cause ids). The
+   untraced run must give the same first line. *)
+let router_fingerprint sc ~values =
+  let block run line =
+    let plain = line (run None) in
+    let traced, digests = traced_run sc (fun tracer -> line (run (Some tracer))) in
+    check Alcotest.string "tracing is observational" plain traced;
+    plain :: digests
+  in
+  let packet policy bandwidth =
+    block
+      (fun tracer ->
+        Packet_router.route ~policy ~bandwidth ?tracer (Rng.create 31) sc ~values)
+      (fun r ->
+        Printf.sprintf "packet/%s/bw%d rounds=%d messages=%d max_queue=%d completion=%s minima=%s"
+          (Schedule.to_string policy) bandwidth r.Packet_router.rounds
+          r.Packet_router.messages r.Packet_router.max_queue
+          (ints r.Packet_router.per_part_completion)
+          (ints r.Packet_router.per_part_minimum))
+  in
+  let tree name combine identity bandwidth =
+    block
+      (fun tracer ->
+        Tree_router.aggregate ~bandwidth ?tracer (Rng.create 32) sc ~values ~combine
+          ~identity)
+      (fun r ->
+        Printf.sprintf "tree/%s/bw%d rounds=%d messages=%d completion=%s totals=%s" name
+          bandwidth r.Tree_router.rounds r.Tree_router.messages
+          (ints r.Tree_router.per_part_completion)
+          (ints r.Tree_router.per_part_total))
+  in
+  List.concat_map
+    (fun bandwidth ->
+      List.concat_map
+        (fun policy -> packet policy bandwidth)
+        [ Schedule.Random_delay; Schedule.Fifo; Schedule.Static_order ]
+      @ tree "sum" ( + ) 0 bandwidth
+      @ tree "max" max min_int bandwidth)
+    [ 1; 8 ]
+
+let pinned_routers_grid_rows () =
+  let sc, values = grid12_rows () in
+  check (Alcotest.list Alcotest.string) "grid 12, rows"
+    [
+      "packet/random-delay/bw1 rounds=15 messages=2444 max_queue=7 completion=15,7,9,7,9,7,9,7,9,7,9,9 minima=0,356,1145,279,1068,202,991,125,914,48,837,404";
+      "profile=23f2d8494e85b97c1ddc41bfb267f4f5";
+      "events=52d86eec491a5b8d1adaf5866dc23dd8";
+      "packet/fifo/bw1 rounds=15 messages=2437 max_queue=6 completion=15,7,9,7,9,7,9,7,9,7,9,9 minima=0,356,1145,279,1068,202,991,125,914,48,837,404";
+      "profile=ff419f3d40617f5dd70dd7f93e6a41e0";
+      "events=e69fedbebbfa7afc25d84cb45915f502";
+      "packet/static-order/bw1 rounds=11 messages=1975 max_queue=6 completion=11,7,9,7,9,7,9,7,9,7,9,9 minima=0,356,1145,279,1068,202,991,125,914,48,837,404";
+      "profile=698ee6441e1663d0ce0b8c7a3274d93d";
+      "events=0bc4bc0045287faa3e7ed4b6999bdb9b";
+      "tree/sum/bw1 rounds=41 messages=1714 completion=23,25,27,33,26,36,35,40,35,41,38,37 totals=62332,51863,71415,50939,70491,50015,69567,49091,68643,48167,67719,57250";
+      "profile=b812933ab53f1a31cdf96ffc9540863a";
+      "events=4c7ed785de48d6073d38ebec12ec5672";
+      "tree/max/bw1 rounds=41 messages=1714 completion=23,25,27,33,26,36,35,40,35,41,38,37 totals=9574,8708,9930,8631,9853,8554,9776,8477,9699,8400,9622,9978";
+      "profile=b812933ab53f1a31cdf96ffc9540863a";
+      "events=4c7ed785de48d6073d38ebec12ec5672";
+      "packet/random-delay/bw8 rounds=11 messages=3169 max_queue=5 completion=11,7,9,7,9,7,9,7,9,7,9,9 minima=0,356,1145,279,1068,202,991,125,914,48,837,404";
+      "profile=39973239494320b2ac1bba7848418010";
+      "events=c59dbb945a74b558facac12ae3c74137";
+      "packet/fifo/bw8 rounds=11 messages=3169 max_queue=5 completion=11,7,9,7,9,7,9,7,9,7,9,9 minima=0,356,1145,279,1068,202,991,125,914,48,837,404";
+      "profile=39973239494320b2ac1bba7848418010";
+      "events=d244a3db357d784be88cf9777fb0b3d3";
+      "packet/static-order/bw8 rounds=11 messages=3169 max_queue=5 completion=11,7,9,7,9,7,9,7,9,7,9,9 minima=0,356,1145,279,1068,202,991,125,914,48,837,404";
+      "profile=39973239494320b2ac1bba7848418010";
+      "events=3e996d3f0cbd94292403ad9b2926a7e1";
+      "tree/sum/bw8 rounds=33 messages=1675 completion=22,23,24,26,26,28,28,30,30,32,32,33 totals=62332,51863,71415,50939,70491,50015,69567,49091,68643,48167,67719,57250";
+      "profile=fa4d5097e78371c27ca47d2850c0a292";
+      "events=9130106483ec4fcbfc338d98e8ad2294";
+      "tree/max/bw8 rounds=33 messages=1675 completion=22,23,24,26,26,28,28,30,30,32,32,33 totals=9574,8708,9930,8631,9853,8554,9776,8477,9699,8400,9622,9978";
+      "profile=fa4d5097e78371c27ca47d2850c0a292";
+      "events=9130106483ec4fcbfc338d98e8ad2294";
+    ]
+    (router_fingerprint sc ~values)
+
+let pinned_routers_ktree_voronoi () =
+  let sc, values = ktree_voronoi6 () in
+  check (Alcotest.list Alcotest.string) "3-tree, voronoi 6"
+    [
+      "packet/random-delay/bw1 rounds=7 messages=2666 max_queue=11 completion=7,3,2,0,3,0 minima=48,0,404,6389,125,4580";
+      "profile=23717c9d22acc667d23d1631b7ea9b34";
+      "events=42ca294fb05e48678ab11f92a14f6caf";
+      "packet/fifo/bw1 rounds=7 messages=2666 max_queue=10 completion=7,3,2,0,3,0 minima=48,0,404,6389,125,4580";
+      "profile=23717c9d22acc667d23d1631b7ea9b34";
+      "events=069130475b147aad69da8902534849da";
+      "packet/static-order/bw1 rounds=7 messages=2666 max_queue=10 completion=7,3,2,0,3,0 minima=48,0,404,6389,125,4580";
+      "profile=23717c9d22acc667d23d1631b7ea9b34";
+      "events=fed41584edea3bb25f019dd6f5941b77";
+      "tree/sum/bw1 rounds=7 messages=312 completion=6,7,3,2,5,3 totals=427582,127366,39883,6389,147649,4580";
+      "profile=370590bf2c87f931cfc1e9fa0081a04b";
+      "events=cb94a340523279166faccf282ff19959";
+      "tree/max/bw1 rounds=7 messages=312 completion=6,7,3,2,5,3 totals=9978,9266,9497,6389,9930,4580";
+      "profile=370590bf2c87f931cfc1e9fa0081a04b";
+      "events=cb94a340523279166faccf282ff19959";
+      "packet/random-delay/bw8 rounds=4 messages=2379 max_queue=10 completion=4,3,2,0,2,0 minima=48,0,404,6389,125,4580";
+      "profile=8c197f05cc86fcd85f3b1006b4a4c444";
+      "events=3e59c0a6a10b44d0dcf2375dbd56dc80";
+      "packet/fifo/bw8 rounds=4 messages=2379 max_queue=10 completion=4,3,2,0,2,0 minima=48,0,404,6389,125,4580";
+      "profile=8c197f05cc86fcd85f3b1006b4a4c444";
+      "events=f381c5d7bf613d5efed6600a49bb261c";
+      "packet/static-order/bw8 rounds=4 messages=2379 max_queue=10 completion=4,3,2,0,2,0 minima=48,0,404,6389,125,4580";
+      "profile=8c197f05cc86fcd85f3b1006b4a4c444";
+      "events=057f8a3f49ebe763816b9cd17411b691";
+      "tree/sum/bw8 rounds=6 messages=312 completion=6,6,3,2,5,2 totals=427582,127366,39883,6389,147649,4580";
+      "profile=6c36ab5ad6f04e53647dfc2bc0eb845c";
+      "events=5021b6f8e9bdfe41ab185639b7f52356";
+      "tree/max/bw8 rounds=6 messages=312 completion=6,6,3,2,5,2 totals=9978,9266,9497,6389,9930,4580";
+      "profile=6c36ab5ad6f04e53647dfc2bc0eb845c";
+      "events=5021b6f8e9bdfe41ab185639b7f52356";
+    ]
+    (router_fingerprint sc ~values)
+
 (* --- Schedule policies ------------------------------------------------------ *)
 
 let policies_all_correct () =
@@ -396,6 +564,10 @@ let suite =
     case "sim aggregate: pinned grid rows" `Quick pinned_grid_rows;
     case "sim aggregate: pinned k-tree voronoi" `Quick pinned_ktree_voronoi;
     case "sim aggregate: pinned reliable light loss" `Quick pinned_reliable_light_loss;
+    case "sim aggregate: raw outcome is minimum" `Quick raw_outcome_is_minimum;
+    case "sim aggregate: budget exhausted raises" `Quick minimum_budget_exhausted;
+    case "router: pinned grid rows" `Quick pinned_routers_grid_rows;
+    case "router: pinned k-tree voronoi" `Quick pinned_routers_ktree_voronoi;
     case "tree router: generic combine" `Quick tree_router_generic_combine;
     case "tree router: message economy" `Quick tree_router_message_economy;
     case "schedule: policies all correct" `Quick policies_all_correct;
