@@ -37,9 +37,8 @@ let instrumented obs tracer shortcut (run : Lcs_congest.Trace.tracer option -> o
           Pa_obs.record_epochs obs profile ~max_delay ~rounds:out.rounds;
           Obs.exit obs;
           let observed_rounds =
-            Array.fold_left max 0 out.per_part_completion
+            match Array.fold_left max 0 out.per_part_completion with 0 -> out.rounds | r -> r
           in
-          let observed_rounds = if observed_rounds > 0 then observed_rounds else out.rounds in
           Pa_obs.record_ledger obs profile ~congestion
             ~predicted_rounds:(bound ~congestion ~dilation ~n:(Graph.n host))
             ~observed_rounds;
@@ -85,20 +84,10 @@ let reference_sums shortcut ~values =
   Tree_router.reference shortcut ~values ~combine:( + ) ~identity:0
 
 let reference_minima shortcut ~values =
-  let partition = Shortcut.partition shortcut in
-  Array.init (Shortcut.k shortcut) (fun i ->
-      Array.fold_left
-        (fun acc v -> min acc values.(v))
-        max_int
-        (Partition.members partition i))
+  Tree_router.reference shortcut ~values ~combine:min ~identity:max_int
 
+(* A crashed member contributes [max_int], the identity of [min]. *)
 let surviving_minima shortcut ~values ~crashed =
-  let partition = Shortcut.partition shortcut in
-  let n = Graph.n (Shortcut.graph shortcut) in
-  let dead = Array.make n false in
-  List.iter (fun v -> if v >= 0 && v < n then dead.(v) <- true) crashed;
-  Array.init (Shortcut.k shortcut) (fun i ->
-      Array.fold_left
-        (fun acc v -> if dead.(v) then acc else min acc values.(v))
-        max_int
-        (Partition.members partition i))
+  let values = Array.copy values in
+  List.iter (fun v -> if v >= 0 && v < Array.length values then values.(v) <- max_int) crashed;
+  reference_minima shortcut ~values

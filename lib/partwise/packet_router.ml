@@ -1,10 +1,6 @@
 module Graph = Lcs_graph.Graph
 module Partition = Lcs_graph.Partition
 module Shortcut = Lcs_shortcut.Shortcut
-module Quality = Lcs_shortcut.Quality
-module Rng = Lcs_util.Rng
-module Pqueue = Lcs_util.Pqueue
-module Trace = Lcs_congest.Trace
 
 type result = {
   rounds : int;
@@ -23,53 +19,12 @@ let route ?(bandwidth = 1) ?max_delay ?(max_rounds = 1_000_000)
   if Array.length values <> Graph.n host then invalid_arg "Packet_router.route: values";
   let subgraphs = Subgraphs.of_shortcut shortcut in
   let adjacency = Array.init k (Subgraphs.adjacency subgraphs) in
-  let max_delay =
-    match max_delay with
-    | Some d -> max 1 d
-    | None -> max 1 (Quality.congestion shortcut)
-  in
-  let delay = Schedule.delays policy rng ~parts:k ~max_delay in
-  (* Ground truth and completion bookkeeping. *)
-  let target = Array.make k max_int in
-  let remaining = Array.make k 0 in
-  for i = 0 to k - 1 do
-    Array.iter
-      (fun v -> if values.(v) < target.(i) then target.(i) <- values.(v))
-      (Partition.members partition i);
-    remaining.(i) <- Partition.size partition i
-  done;
-  let per_part_completion = Array.make k (-1) in
-  let incomplete = ref k in
-  (* This engine is its own message source: it owns the ambient Cause ids
-     for the run (0 rides along when untraced). *)
-  Trace.Cause.start_run ~enabled:(tracer <> None);
+  (* Ground truth: a member is done once it holds its part's minimum. *)
+  let target = Tree_router.reference shortcut ~values ~combine:min ~identity:max_int in
+  (* Queue entries: (part, value, causal id of the arrival that queued it). *)
+  let queues = Schedule.queues ~tracer ~max_delay policy rng shortcut in
   (* best.(i) : node -> current best value for part i at that node. *)
   let best = Array.init k (fun _ -> Hashtbl.create 64) in
-  (* Edge-direction queues holding (part, value, causal id of the arrival
-     that queued it). Key: edge*2 + dir, dir 0 = towards the higher
-     endpoint. *)
-  let queues : (int, (int * int * int) Pqueue.t) Hashtbl.t = Hashtbl.create 256 in
-  let nonempty : (int, unit) Hashtbl.t = Hashtbl.create 256 in
-  let messages = ref 0 in
-  let max_queue = ref 0 in
-  let queue_for key =
-    match Hashtbl.find_opt queues key with
-    | Some q -> q
-    | None ->
-        let q = Pqueue.create () in
-        Hashtbl.add queues key q;
-        q
-  in
-  let push_edge part value cause e ~from =
-    let u, _v = Graph.edge_endpoints host e in
-    let dir = if from = u then 0 else 1 in
-    let key = (e * 2) + dir in
-    let q = queue_for key in
-    Pqueue.push q ~priority:delay.(part) (part, value, cause);
-    if Pqueue.length q > !max_queue then max_queue := Pqueue.length q;
-    Hashtbl.replace nonempty key ()
-  in
-  let round = ref 0 in
   (* Improvement at [node] for [part]: update best, track completion,
      forward on all other S_i edges. [cause] is the id of the arriving
      message (0 for round-0 injections). *)
@@ -79,18 +34,15 @@ let route ?(bandwidth = 1) ?max_delay ?(max_rounds = 1_000_000)
     let improves = match current with None -> true | Some b -> value < b in
     if improves then begin
       Hashtbl.replace tbl node value;
-      if Partition.part_of partition node = part && value = target.(part) then begin
-        remaining.(part) <- remaining.(part) - 1;
-        if remaining.(part) = 0 then begin
-          per_part_completion.(part) <- !round;
-          decr incomplete
-        end
-      end;
+      if Partition.part_of partition node = part && value = target.(part) then
+        Schedule.member_done queues part;
       match Hashtbl.find_opt adjacency.(part) node with
       | None -> ()
       | Some nbrs ->
           List.iter
-            (fun (e, _nbr) -> if e <> via then push_edge part value cause e ~from:node)
+            (fun (e, _nbr) ->
+              if e <> via then
+                Schedule.push queues ~part ~edge:e ~from:node (part, value, cause))
             nbrs
     end
   in
@@ -99,69 +51,17 @@ let route ?(bandwidth = 1) ?max_delay ?(max_rounds = 1_000_000)
     let part = Partition.part_of partition v in
     if part >= 0 then absorb part values.(v) 0 v ~via:(-1)
   done;
-  while !incomplete > 0 do
-    if !round >= max_rounds then
-      failwith "Packet_router.route: round limit (disconnected shortcut subgraph?)";
-    incr round;
-    (match tracer with
-    | None -> ()
-    | Some t -> t (Trace.Round_start { round = !round; live = !incomplete }));
-    let round_max = ref 0 in
-    (* Serve every backlogged edge-direction: up to [bandwidth] messages. *)
-    let keys = Hashtbl.fold (fun key () acc -> key :: acc) nonempty [] in
-    let arrivals = ref [] in
-    List.iter
-      (fun key ->
-        let q = queue_for key in
-        let served = ref 0 in
-        while !served < bandwidth && not (Pqueue.is_empty q) do
-          (match Pqueue.pop_min q with
-          | Some (_prio, (part, value, cause)) ->
-              incr messages;
-              let e = key / 2 and dir = key mod 2 in
-              let u, v = Graph.edge_endpoints host e in
-              let dest = if dir = 0 then v else u in
-              let id =
-                match tracer with
-                | None -> 0
-                | Some t ->
-                    let src = if dir = 0 then u else v in
-                    let id = Trace.Cause.fresh_id () in
-                    t
-                      (Trace.Send
-                         {
-                           round = !round;
-                           src;
-                           dst = dest;
-                           edge = e;
-                           words = 1;
-                           id;
-                           parents = (if cause > 0 then [ cause ] else []);
-                           part;
-                           phase = "pa.flood";
-                         });
-                    id
-              in
-              arrivals := (part, value, id, dest, e) :: !arrivals
-          | None -> ());
-          incr served
-        done;
-        (match tracer with
-        | None -> ()
-        | Some _ -> if !served > !round_max then round_max := !served);
-        if Pqueue.is_empty q then Hashtbl.remove nonempty key)
-      keys;
-    List.iter
-      (fun (part, value, id, dest, e) -> absorb part value id dest ~via:e)
-      !arrivals;
-    match tracer with
-    | None -> ()
-    | Some t -> t (Trace.Round_end { round = !round; max_edge_load = !round_max })
-  done;
+  let served =
+    Schedule.serve queues ~bandwidth ~max_rounds
+      ~limit:"Packet_router.route: round limit (disconnected shortcut subgraph?)"
+      ~label:(fun (part, _value, cause) -> (part, cause, "pa.flood"))
+      ~arrive:(fun (part, value, _cause) ~id ~edge ~dest ->
+        absorb part value id dest ~via:edge)
+  in
   {
-    rounds = !round;
-    per_part_completion;
+    rounds = served.Schedule.rounds;
+    per_part_completion = served.Schedule.per_part_completion;
     per_part_minimum = target;
-    messages = !messages;
-    max_queue = !max_queue;
+    messages = served.Schedule.messages;
+    max_queue = served.Schedule.max_queue;
   }

@@ -4,14 +4,11 @@
     aggregation.
 
     Every part [i] floods an idempotent aggregate (minimum) over its
-    shortcut subgraph [S_i = G[P_i] + H_i]. Edges are shared: one edge
-    carries at most [bandwidth] messages per direction per round,
-    regardless of how many parts route through it — this is where
-    congestion becomes time. Pending messages queue per edge-direction and
-    are served by priority = the part's random delay (FIFO within a part),
-    which is exactly the random-delays schedule. The router measures the
-    round at which every part has finished (each member knows its part's
-    minimum), the figure E7 compares against [c + d·⌈log₂ n⌉]. *)
+    shortcut subgraph [S_i = G[P_i] + H_i]. The messages share edge
+    capacity on {!Schedule.serve}'s loop — this is where congestion
+    becomes time. The router measures the round at which every part has
+    finished (each member knows its part's minimum), the figure E7
+    compares against [c + d·⌈log₂ n⌉]. *)
 
 type result = {
   rounds : int;  (** completion round of the slowest part *)
@@ -40,9 +37,7 @@ val route :
     some part cannot complete (its subgraph is disconnected — impossible
     for shortcuts built by this repository).
 
-    [tracer] receives the same event stream a {!Lcs_congest.Simulator}
-    run would emit — one [Send] (1 word) per link transmission with the
-    host edge id, round boundaries with the count of incomplete parts as
-    [live], and per-round high-water marks — so the random-delay
-    schedule's actual load spreading is observable with the same
+    [tracer] receives {!Schedule.serve}'s events, in the vocabulary of a
+    {!Lcs_congest.Simulator} run (phase ["pa.flood"]), so the random-delay
+    schedule's load spreading is observable with the same
     {!Lcs_congest.Trace.Profile} tooling. *)

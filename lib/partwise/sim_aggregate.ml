@@ -4,9 +4,11 @@ module Shortcut = Lcs_shortcut.Shortcut
 module Quality = Lcs_shortcut.Quality
 module Simulator = Lcs_congest.Simulator
 module Trace = Lcs_congest.Trace
-module Rng = Lcs_util.Rng
 module Pqueue = Lcs_util.Pqueue
 module Obs = Lcs_obs.Obs
+module Fault = Lcs_congest.Fault
+module Reliable = Lcs_congest.Reliable
+module Outcome = Lcs_congest.Outcome
 
 type result = {
   minima : int array;
@@ -14,6 +16,16 @@ type result = {
   completion_round : int;
   messages : int;
   stats : Simulator.stats;
+}
+
+type report = {
+  minima : int array;
+      (** per part: the minimum over its surviving members' values — the
+          reference a degraded run is held to *)
+  diverged : int list;  (** parts with a surviving member disagreeing *)
+  completion_round : int;
+  ostats : Simulator.stats;
+  retransmissions : int;
 }
 
 (* (part, value, causal id of the arrival that queued it — 0 for round-0
@@ -43,15 +55,7 @@ let slot_of st part =
   in
   find 0
 
-(* The best value [st] holds for [part], if any. *)
-let held st part =
-  let slot = slot_of st part in
-  if slot >= 0 && st.known.(slot) then Some st.best.(slot) else None
-
-(* Schedule parameters the observability layer needs back from setup. *)
-type sched = { max_delay : int; congestion : int; dilation : int }
-
-let setup ?budget rng shortcut ~values =
+let setup ?budget ~reliable rng shortcut ~values =
   let host = Shortcut.graph shortcut in
   let partition = Shortcut.partition shortcut in
   let k = Shortcut.k shortcut in
@@ -66,11 +70,15 @@ let setup ?budget rng shortcut ~values =
           Aggregate.bound ~congestion:r.Quality.congestion
             ~dilation:(max 1 (Quality.dilation_bound r)) ~n
         in
-        (4 * bound) + 32
+        (* The ARQ roughly triples per-hop latency (data + ack round
+           trips), so the reliable path gets a proportionally larger
+           round budget unless the caller pins one. *)
+        (if reliable then 8 else 1) * ((4 * bound) + 32)
   in
   let subgraphs = Subgraphs.of_shortcut shortcut in
-  let max_delay = max 1 r.Quality.congestion in
-  let delay = Array.init k (fun _ -> Rng.int rng max_delay) in
+  let delay =
+    Schedule.delays Schedule.Random_delay rng ~parts:k ~max_delay:r.Quality.congestion
+  in
   (* For each vertex: the parts it serves (its slots, ascending) and, per
      slot, the ports that part's subgraph uses there. Port = index into the
      vertex's host adjacency, as the simulator addresses links. Every part
@@ -174,98 +182,23 @@ let setup ?budget rng shortcut ~values =
       msg_words = (fun _ -> 1);
     }
   in
-  ( program,
-    budget,
-    host,
-    partition,
-    k,
-    { max_delay; congestion = r.Quality.congestion; dilation = r.Quality.dilation } )
+  (program, budget, r)
 
-let minimum ?budget ?domains ?obs ?tracer ?par_profile rng shortcut ~values =
-  Obs.span obs "pa" @@ fun () ->
-  let program, budget, host, partition, _k, sched =
-    Obs.span obs "pa.setup" (fun () -> setup ?budget rng shortcut ~values)
-  in
-  Obs.note obs "budget" (Obs.Int budget);
-  Obs.note obs "congestion" (Obs.Int sched.congestion);
-  Obs.note obs "dilation" (Obs.Int sched.dilation);
-  Obs.note obs "max_delay" (Obs.Int sched.max_delay);
-  let profile, tracer = Pa_obs.profiled obs tracer ~edges:(Graph.m host) in
-  Obs.enter obs "pa.run";
-  let states, stats =
-    Simulator.run ?domains ~max_rounds:(budget + 8) ?tracer ?par_profile host
-      program
-  in
-  Pa_obs.record_epochs obs profile ~max_delay:sched.max_delay
-    ~rounds:stats.Simulator.rounds;
-  Obs.exit obs;
-  let reference = Aggregate.reference_minima shortcut ~values in
-  Array.iteri
-    (fun v st ->
-      let part = Partition.part_of partition v in
-      if part >= 0 then
-        match held st part with
-        | Some b when b = reference.(part) -> ()
-        | _ -> failwith "Sim_aggregate: part did not converge within budget")
-    states;
-  let completion_round =
-    Array.fold_left (fun acc st -> max acc st.last_improved) 0 states
-  in
-  Pa_obs.record_ledger obs profile ~congestion:sched.congestion
-    ~predicted_rounds:
-      (Aggregate.bound ~congestion:sched.congestion
-         ~dilation:(max 1 sched.dilation) ~n:(Graph.n host))
-    ~observed_rounds:completion_round;
-  {
-    minima = reference;
-    rounds = stats.Simulator.rounds;
-    completion_round;
-    messages = stats.Simulator.messages;
-    stats;
-  }
-
-(* --- Fault-tolerant entry point ------------------------------------------ *)
-
-module Fault = Lcs_congest.Fault
-module Reliable = Lcs_congest.Reliable
-module Outcome = Lcs_congest.Outcome
-
-type report = {
-  minima : int array;
-      (** per part: the minimum over its surviving members' values — the
-          reference a degraded run is held to *)
-  diverged : int list;  (** parts with a surviving member disagreeing *)
-  completion_round : int;
-  ostats : Simulator.stats;
-  retransmissions : int;
-}
+(* --- Run and validate ------------------------------------------------------ *)
 
 let minimum_outcome ?budget ?domains ?max_rounds ?obs ?tracer ?faults ?par_profile
     ?(reliable = true) ?config rng shortcut ~values =
   Obs.span obs "pa" @@ fun () ->
-  (* The ARQ roughly triples per-hop latency (data + ack round trips), so
-     the reliable path gets a proportionally larger round budget unless
-     the caller pins one. *)
-  let budget =
-    match budget with
-    | Some b -> Some b
-    | None when not reliable -> None
-    | None ->
-        let r = Quality.measure shortcut in
-        let n = Graph.n (Shortcut.graph shortcut) in
-        let bound =
-          Aggregate.bound ~congestion:r.Quality.congestion
-            ~dilation:(max 1 (Quality.dilation_bound r)) ~n
-        in
-        Some (8 * ((4 * bound) + 32))
+  let program, budget, r =
+    Obs.span obs "pa.setup" (fun () -> setup ?budget ~reliable rng shortcut ~values)
   in
-  let program, budget, host, partition, k, sched =
-    Obs.span obs "pa.setup" (fun () -> setup ?budget rng shortcut ~values)
-  in
+  let host = Shortcut.graph shortcut in
+  let congestion = r.Quality.congestion in
+  let max_delay = max 1 congestion in
   Obs.note obs "budget" (Obs.Int budget);
-  Obs.note obs "congestion" (Obs.Int sched.congestion);
-  Obs.note obs "dilation" (Obs.Int sched.dilation);
-  Obs.note obs "max_delay" (Obs.Int sched.max_delay);
+  Obs.note obs "congestion" (Obs.Int congestion);
+  Obs.note obs "dilation" (Obs.Int r.Quality.dilation);
+  Obs.note obs "max_delay" (Obs.Int max_delay);
   let profile, tracer = Pa_obs.profiled obs tracer ~edges:(Graph.m host) in
   let max_rounds =
     match max_rounds with
@@ -273,29 +206,26 @@ let minimum_outcome ?budget ?domains ?max_rounds ?obs ?tracer ?faults ?par_profi
     | None -> if reliable then budget + 512 else budget + 8
   in
   Obs.enter obs "pa.run";
-  let extract result of_states retrans_of dead_of =
-    match result with
-    | Simulator.Finished (states, stats) ->
-        (of_states states, retrans_of states, dead_of states, false, stats)
-    | Simulator.Out_of_rounds (states, p) ->
-        (of_states states, retrans_of states, dead_of states, true, p.Simulator.partial_stats)
+  let run program =
+    match
+      Simulator.run_outcome ?domains ~max_rounds ?tracer ?faults ?par_profile host program
+    with
+    | Simulator.Finished (states, stats) -> (states, false, stats)
+    | Simulator.Out_of_rounds (states, p) -> (states, true, p.Simulator.partial_stats)
   in
   let states, retransmissions, unresponsive, out_of_rounds, ostats =
     if reliable then
-      extract
-        (Simulator.run_outcome ?domains ~max_rounds ?tracer ?faults ?par_profile
-           host
-           (Reliable.wrap ?config program))
-        Reliable.inner_states Reliable.retransmissions Reliable.dead_links
+      let states, out, stats = run (Reliable.wrap ?config program) in
+      ( Reliable.inner_states states,
+        Reliable.retransmissions states,
+        Reliable.dead_links states,
+        out,
+        stats )
     else
-      extract
-        (Simulator.run_outcome ?domains ~max_rounds ?tracer ?faults ?par_profile
-           host program)
-        Fun.id
-        (fun _ -> 0)
-        (fun _ -> [])
+      let states, out, stats = run program in
+      (states, 0, [], out, stats)
   in
-  Pa_obs.record_epochs obs profile ~max_delay:sched.max_delay
+  Pa_obs.record_epochs obs profile ~max_delay
     ~rounds:ostats.Simulator.rounds;
   Obs.exit obs;
   let crashed = match faults with None -> [] | Some inj -> Fault.crashed_nodes inj in
@@ -306,18 +236,18 @@ let minimum_outcome ?budget ?domains ?max_rounds ?obs ?tracer ?faults ?par_profi
   (* Per-part validation: every surviving member must hold exactly the
      surviving minimum — anything else (missing or stale) marks the part
      diverged and its surviving members affected. Never a silent wrong
-     answer, never the fault-free path's [failwith]. *)
+     answer; [minimum] turns the resulting [Degraded] into its [Failure]. *)
   let diverged = ref [] in
   let affected = ref [] in
-  for i = k - 1 downto 0 do
-    let members = Lcs_graph.Partition.members partition i in
+  for i = Shortcut.k shortcut - 1 downto 0 do
+    let members = Partition.members (Shortcut.partition shortcut) i in
     let bad = ref false in
     Array.iter
       (fun v ->
-        if not dead.(v) then
-          match held states.(v) i with
-          | Some b when b = minima.(i) -> ()
-          | _ -> bad := true)
+        let st = states.(v) in
+        let slot = slot_of st i in
+        if not (dead.(v) || (slot >= 0 && st.known.(slot) && st.best.(slot) = minima.(i)))
+        then bad := true)
       members;
     if !bad then begin
       diverged := i :: !diverged;
@@ -329,10 +259,8 @@ let minimum_outcome ?budget ?domains ?max_rounds ?obs ?tracer ?faults ?par_profi
   let completion_round =
     Array.fold_left (fun acc st -> max acc st.last_improved) 0 states
   in
-  Pa_obs.record_ledger obs profile ~congestion:sched.congestion
-    ~predicted_rounds:
-      (Aggregate.bound ~congestion:sched.congestion
-         ~dilation:(max 1 sched.dilation) ~n)
+  Pa_obs.record_ledger obs profile ~congestion
+    ~predicted_rounds:(Aggregate.bound ~congestion ~dilation:(max 1 r.Quality.dilation) ~n)
     ~observed_rounds:completion_round;
   let report = { minima; diverged; completion_round; ostats; retransmissions } in
   Outcome.classify report
@@ -343,3 +271,18 @@ let minimum_outcome ?budget ?domains ?max_rounds ?obs ?tracer ?faults ?par_profi
       out_of_rounds;
       rounds = ostats.Simulator.rounds;
     }
+
+let minimum ?budget ?domains ?obs ?tracer ?par_profile rng shortcut ~values =
+  match
+    minimum_outcome ?budget ?domains ?obs ?tracer ?par_profile ~reliable:false rng shortcut
+      ~values
+  with
+  | Outcome.Complete (r : report) ->
+      {
+        minima = r.minima;
+        rounds = r.ostats.Simulator.rounds;
+        completion_round = r.completion_round;
+        messages = r.ostats.Simulator.messages;
+        stats = r.ostats;
+      }
+  | Outcome.Degraded _ -> failwith "Sim_aggregate: part did not converge within budget"

@@ -36,12 +36,17 @@ val minimum :
   result
 (** [minimum rng shortcut ~values]: every part's minimum, computed by
     flooding inside each part's shortcut subgraph under the simulator.
-    [budget] defaults to [4·(c + d·log n) + 32] with (c,d) measured from
-    the shortcut ([d] = {!Lcs_shortcut.Quality.dilation_bound}, certified
-    even where a part is too large for exact dilation) — generous enough
-    for the schedule bound, and the
-    returned [completion_round] shows the real finish time. Raises
-    [Failure] if some part had not converged within the budget. [tracer]
+    This is the fault-free raw run of {!minimum_outcome}
+    ([~reliable:false], no faults): the same setup, run, validation and
+    ledger. [budget] defaults to [4·(c + d·log n) + 32] with (c,d)
+    measured from the shortcut ([d] =
+    {!Lcs_shortcut.Quality.dilation_bound}, certified even where a part is
+    too large for exact dilation) — generous enough for the schedule
+    bound, and the returned [completion_round] shows the real finish
+    time. Raises
+    [Failure "Sim_aggregate: part did not converge within budget"] where
+    {!minimum_outcome} would return [Degraded], i.e. when some part member
+    does not hold its part's minimum at the end of the budget. [tracer]
     observes the underlying {!Lcs_congest.Simulator} run — its per-edge
     profile is how E7-style experiments see the congestion {e
     distribution} rather than just the maximum. [domains] (default 1)

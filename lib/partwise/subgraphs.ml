@@ -2,10 +2,7 @@ module Graph = Lcs_graph.Graph
 module Partition = Lcs_graph.Partition
 module Shortcut = Lcs_shortcut.Shortcut
 
-type t = {
-  shortcut : Shortcut.t;
-  adjacency : (int, (int * int) list) Hashtbl.t array;
-}
+type t = (int, (int * int) list) Hashtbl.t array
 
 let build shortcut i =
   let host = Shortcut.graph shortcut in
@@ -37,22 +34,14 @@ let build shortcut i =
     (Shortcut.edges_array shortcut i);
   adj
 
-let of_shortcut shortcut =
-  {
-    shortcut;
-    adjacency = Array.init (Shortcut.k shortcut) (build shortcut);
-  }
-
-let adjacency t i = t.adjacency.(i)
-let vertices t i = Hashtbl.fold (fun v _ acc -> v :: acc) t.adjacency.(i) []
-let shortcut t = t.shortcut
+let of_shortcut shortcut = Array.init (Shortcut.k shortcut) (build shortcut)
+let adjacency t i = t.(i)
+let vertices t i = Hashtbl.fold (fun v _ acc -> v :: acc) t.(i) []
 
 let spanning_tree t i ~root =
-  let adj = t.adjacency.(i) in
+  let adj = t.(i) in
   if not (Hashtbl.mem adj root) then invalid_arg "Subgraphs.spanning_tree: root";
   let parent = Hashtbl.create (Hashtbl.length adj) in
-  let visited = Hashtbl.create (Hashtbl.length adj) in
-  Hashtbl.replace visited root ();
   let queue = Queue.create () in
   Queue.add root queue;
   while not (Queue.is_empty queue) do
@@ -60,8 +49,7 @@ let spanning_tree t i ~root =
     let nbrs = match Hashtbl.find_opt adj v with Some l -> l | None -> [] in
     List.iter
       (fun (e, w) ->
-        if not (Hashtbl.mem visited w) then begin
-          Hashtbl.replace visited w ();
+        if w <> root && not (Hashtbl.mem parent w) then begin
           Hashtbl.replace parent w (v, e);
           Queue.add w queue
         end)

@@ -18,5 +18,3 @@ val spanning_tree : t -> int -> root:int -> (int, int * int) Hashtbl.t
     root) to its [(parent_vertex, edge)]. Raises [Invalid_argument] if
     [root] is not in [S_i]. Vertices of [S_i] unreachable from [root]
     (possible only for corrupted shortcuts) are simply absent. *)
-
-val shortcut : t -> Lcs_shortcut.Shortcut.t

@@ -1,10 +1,6 @@
 module Graph = Lcs_graph.Graph
 module Partition = Lcs_graph.Partition
 module Shortcut = Lcs_shortcut.Shortcut
-module Quality = Lcs_shortcut.Quality
-module Rng = Lcs_util.Rng
-module Pqueue = Lcs_util.Pqueue
-module Trace = Lcs_congest.Trace
 
 type result = {
   rounds : int;
@@ -21,7 +17,7 @@ type cell = {
   parent_edge : int;  (* -1 at the root *)
   mutable waiting : int;  (* children yet to report *)
   mutable acc : int;
-  mutable children : (int * int) list;  (* (edge, child vertex) *)
+  mutable children : int list;  (* edges to the children *)
 }
 
 let aggregate ?(bandwidth = 1) ?max_delay ?(max_rounds = 1_000_000) ?tracer rng
@@ -32,97 +28,51 @@ let aggregate ?(bandwidth = 1) ?max_delay ?(max_rounds = 1_000_000) ?tracer rng
   let k = Shortcut.k shortcut in
   if Array.length values <> Graph.n host then invalid_arg "Tree_router.aggregate: values";
   let subgraphs = Subgraphs.of_shortcut shortcut in
-  let max_delay =
-    match max_delay with
-    | Some d -> max 1 d
-    | None -> max 1 (Quality.congestion shortcut)
-  in
-  let delay = Array.init k (fun _ -> Rng.int rng max_delay) in
   (* Build each part's tree and cells. *)
-  let roots = Array.make k (-1) in
   let cells : (int, cell) Hashtbl.t array = Array.init k (fun _ -> Hashtbl.create 32) in
   for i = 0 to k - 1 do
     let members = Partition.members partition i in
     let root = members.(0) in
-    roots.(i) <- root;
     let parents = Subgraphs.spanning_tree subgraphs i ~root in
     let vertices = Subgraphs.vertices subgraphs i in
     (* Any S_i vertex unreachable from the root means a corrupted
        shortcut; members must always be reachable. *)
     List.iter
       (fun v ->
-        if v <> root && not (Hashtbl.mem parents v) then
-          if Partition.part_of partition v = i then
-            failwith "Tree_router: part subgraph is disconnected")
-      vertices;
-    let cell_of v =
-      match Hashtbl.find_opt parents v with
-      | Some (p, e) -> { parent = p; parent_edge = e; waiting = 0; acc = identity; children = [] }
-      | None -> { parent = -1; parent_edge = -1; waiting = 0; acc = identity; children = [] }
-    in
-    List.iter
-      (fun v ->
-        if v = root || Hashtbl.mem parents v then
-          Hashtbl.replace cells.(i) v (cell_of v))
+        let parent, parent_edge =
+          match Hashtbl.find_opt parents v with Some pe -> pe | None -> (-1, -1)
+        in
+        if v = root || parent >= 0 then
+          Hashtbl.replace cells.(i) v
+            { parent; parent_edge; waiting = 0; acc = identity; children = [] }
+        else if Partition.part_of partition v = i then
+          failwith "Tree_router: part subgraph is disconnected")
       vertices;
     (* Children lists and member contributions. *)
     Hashtbl.iter
       (fun v cell ->
         if cell.parent >= 0 then begin
           let pcell = Hashtbl.find cells.(i) cell.parent in
-          pcell.children <- (cell.parent_edge, v) :: pcell.children;
+          pcell.children <- cell.parent_edge :: pcell.children;
           pcell.waiting <- pcell.waiting + 1
         end;
         if Partition.part_of partition v = i then cell.acc <- combine cell.acc values.(v))
       cells.(i)
   done;
-  (* This engine is its own message source: it owns the ambient Cause ids
-     for the run (0 rides along when untraced). *)
-  Trace.Cause.start_run ~enabled:(tracer <> None);
-  (* Shared edge-direction queues, keyed by edge*2 + dir; entries carry the
-     causal id of the arrival that queued them (0 = none). *)
-  let queues : (int, (int * kind * int * int * int) Pqueue.t) Hashtbl.t =
-    Hashtbl.create 256
+  (* Queue entries: (part, kind, value, causal id of the arrival that
+     queued them, 0 = none). *)
+  let queues = Schedule.queues ~tracer ~max_delay Schedule.Random_delay rng shortcut in
+  let send part kind value cause e ~from =
+    Schedule.push queues ~part ~edge:e ~from (part, kind, value, cause)
   in
-  let nonempty : (int, unit) Hashtbl.t = Hashtbl.create 256 in
-  let messages = ref 0 in
-  let queue_for key =
-    match Hashtbl.find_opt queues key with
-    | Some q -> q
-    | None ->
-        let q = Pqueue.create () in
-        Hashtbl.add queues key q;
-        q
-  in
-  let send part kind value cause e ~from ~dest =
-    let u, _ = Graph.edge_endpoints host e in
-    let dir = if from = u then 0 else 1 in
-    let key = (e * 2) + dir in
-    let q = queue_for key in
-    Pqueue.push q ~priority:delay.(part) (part, kind, value, dest, cause);
-    Hashtbl.replace nonempty key ()
-  in
-  (* Completion bookkeeping: members that received the Down total. *)
   let per_part_total = Array.make k identity in
-  let remaining = Array.make k 0 in
-  let per_part_completion = Array.make k (-1) in
-  let incomplete = ref k in
-  for i = 0 to k - 1 do
-    remaining.(i) <- Partition.size partition i
-  done;
-  let round = ref 0 in
   (* [cause] is the causal id of the message whose arrival triggered this
      step (0 for the spontaneous round-0 leaf fires). *)
   let deliver_down part value cause node =
-    if Partition.part_of partition node = part then begin
-      remaining.(part) <- remaining.(part) - 1;
-      if remaining.(part) = 0 then begin
-        per_part_completion.(part) <- !round;
-        decr incomplete
-      end
-    end;
+    (* A member is done once the Down total reaches it. *)
+    if Partition.part_of partition node = part then Schedule.member_done queues part;
     let cell = Hashtbl.find cells.(part) node in
-    List.iter (fun (e, c) -> send part Down value cause e ~from:node ~dest:c) cell.children
+    List.iter (fun e -> send part Down value cause e ~from:node) cell.children
   in
   let rec try_send_up part cause node =
     let cell = Hashtbl.find cells.(part) node in
@@ -132,7 +82,7 @@ let aggregate ?(bandwidth = 1) ?max_delay ?(max_rounds = 1_000_000) ?tracer rng
         per_part_total.(part) <- cell.acc;
         deliver_down part cell.acc cause node
       end
-      else send part Up cell.acc cause cell.parent_edge ~from:node ~dest:cell.parent
+      else send part Up cell.acc cause cell.parent_edge ~from:node
   and absorb_up part value cause node =
     let cell = Hashtbl.find cells.(part) node in
     cell.acc <- combine cell.acc value;
@@ -143,69 +93,21 @@ let aggregate ?(bandwidth = 1) ?max_delay ?(max_rounds = 1_000_000) ?tracer rng
   for i = 0 to k - 1 do
     Hashtbl.iter (fun v cell -> if cell.waiting = 0 then try_send_up i 0 v) cells.(i)
   done;
-  while !incomplete > 0 do
-    if !round >= max_rounds then failwith "Tree_router: round limit";
-    incr round;
-    (match tracer with
-    | None -> ()
-    | Some t -> t (Trace.Round_start { round = !round; live = !incomplete }));
-    let round_max = ref 0 in
-    let keys = Hashtbl.fold (fun key () acc -> key :: acc) nonempty [] in
-    let arrivals = ref [] in
-    List.iter
-      (fun key ->
-        let q = queue_for key in
-        let served = ref 0 in
-        while !served < bandwidth && not (Pqueue.is_empty q) do
-          (match Pqueue.pop_min q with
-          | Some (_prio, (part, kind, value, dest, cause)) ->
-              incr messages;
-              let id =
-                match tracer with
-                | None -> 0
-                | Some t ->
-                    let e = key / 2 and dir = key mod 2 in
-                    let u, v = Graph.edge_endpoints host e in
-                    let src = if dir = 0 then u else v in
-                    let id = Trace.Cause.fresh_id () in
-                    t
-                      (Trace.Send
-                         {
-                           round = !round;
-                           src;
-                           dst = dest;
-                           edge = e;
-                           words = 1;
-                           id;
-                           parents = (if cause > 0 then [ cause ] else []);
-                           part;
-                           phase =
-                             (match kind with
-                             | Up -> "router.up"
-                             | Down -> "router.down");
-                         });
-                    id
-              in
-              arrivals := (part, kind, value, dest, id) :: !arrivals
-          | None -> ());
-          incr served
-        done;
-        (match tracer with
-        | None -> ()
-        | Some _ -> if !served > !round_max then round_max := !served);
-        if Pqueue.is_empty q then Hashtbl.remove nonempty key)
-      keys;
-    List.iter
-      (fun (part, kind, value, dest, id) ->
+  let served =
+    Schedule.serve queues ~bandwidth ~max_rounds ~limit:"Tree_router: round limit"
+      ~label:(fun (part, kind, _value, cause) ->
+        (part, cause, match kind with Up -> "router.up" | Down -> "router.down"))
+      ~arrive:(fun (part, kind, value, _cause) ~id ~edge:_ ~dest ->
         match kind with
         | Up -> absorb_up part value id dest
         | Down -> deliver_down part value id dest)
-      !arrivals;
-    match tracer with
-    | None -> ()
-    | Some t -> t (Trace.Round_end { round = !round; max_edge_load = !round_max })
-  done;
-  { rounds = !round; per_part_total; per_part_completion; messages = !messages }
+  in
+  {
+    rounds = served.Schedule.rounds;
+    per_part_total;
+    per_part_completion = served.Schedule.per_part_completion;
+    messages = served.Schedule.messages;
+  }
 
 let sum ?bandwidth ?tracer rng shortcut ~values =
   aggregate ?bandwidth ?tracer rng shortcut ~values ~combine:( + ) ~identity:0

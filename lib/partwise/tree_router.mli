@@ -6,8 +6,8 @@
     each part a BFS spanning tree of its shortcut subgraph
     [S_i = G[P_i] + H_i] is fixed; the aggregation then convergecasts to
     the part root and broadcasts the total back, with all parts sharing
-    edge capacity under the same random-delay discipline as the flooding
-    router. Total rounds remain [O(c + d·log n)]: each part exchanges
+    edge capacity on {!Schedule.serve}'s loop, like the flooding router.
+    Total rounds remain [O(c + d·log n)]: each part exchanges
     exactly [2·(|S_i| - 1)] messages along its tree. *)
 
 type result = {
@@ -34,9 +34,8 @@ val aggregate :
     [identity]). [combine] must be associative and commutative.
     Raises [Failure] if some part's subgraph is disconnected.
 
-    [tracer] receives one [Send] (1 word) per link transmission plus
-    round boundaries and per-round high-water marks, in the same event
-    vocabulary as {!Lcs_congest.Simulator} — see {!Packet_router.route}. *)
+    [tracer] receives {!Schedule.serve}'s events (phases ["router.up"]
+    and ["router.down"]). *)
 
 val sum :
   ?bandwidth:int ->
