@@ -819,7 +819,7 @@ let mst_cmd =
       | "thm31" -> Boruvka_engine.Thm31
       | "baseline" -> Boruvka_engine.Bfs_baseline
       | "induced" -> Boruvka_engine.Induced_only
-      | other -> invalid_arg ("unknown mode " ^ other)
+      | other -> bad_input "bad mst mode %s: expected thm31 | baseline | induced" other
     in
     let obs = if trace <> None || spans <> None then Some (Obs.create ()) else None in
     let stream =
@@ -966,7 +966,7 @@ let export_cmd =
                   (Printf.sprintf "color=red, penwidth=%d, label=\"%d\""
                      (min 5 (1 + load.(e)))
                      load.(e)))
-      | other -> invalid_arg ("unknown format " ^ other)
+      | other -> bad_input "bad export format %s: expected edges | dot | shortcut-dot" other
     in
     (match path with
     | None -> print_string contents
@@ -1304,12 +1304,18 @@ let experiment_cmd =
    text edge list. *)
 let is_binary_path path = Filename.check_suffix path ".bin"
 
+(* The readers raise [Invalid_argument] naming the fault (truncated
+   header, line and field of a bad edge); that is malformed input. *)
 let load_graph path =
-  if is_binary_path path then Graph_io.read_binary path
-  else begin
-    let ic = open_in_bin path in
-    Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> Graph_io.of_channel ic)
-  end
+  try
+    if is_binary_path path then Graph_io.read_binary path
+    else begin
+      let ic = open_in_bin path in
+      Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> Graph_io.of_channel ic)
+    end
+  with
+  | Invalid_argument msg | Sys_error msg -> bad_input "bad graph file %s: %s" path msg
+  | Unix.Unix_error (e, _, _) -> bad_input "bad graph file %s: %s" path (Unix.error_message e)
 
 let save_graph path g =
   if is_binary_path path then Graph_io.write_binary path g

@@ -482,7 +482,40 @@ let cli_rejects_malformed_plan () =
       ("grid:28x28", "rows", "grid:28x28");
       ("grid:3", "voronoi:10", "voronoi:10");
       ("wheel:8", "rows", "rows");
-    ]
+    ];
+  (* So do unreadable graph files (named with the reader's message) and
+     unknown mode or format values. *)
+  let trunc = Filename.temp_file "lcs_trunc" ".bin" in
+  let oc = open_out_bin trunc in
+  output_string oc (String.make 8 '\000');
+  close_out oc;
+  let out_of_range = Filename.temp_file "lcs_range" ".txt" in
+  let oc = open_out out_of_range in
+  output_string oc "3 2\n0 1\n1 5\n";
+  close_out oc;
+  List.iter
+    (fun (args, named) ->
+      let status =
+        Sys.command
+          (Printf.sprintf "%s %s > /dev/null 2> %s"
+             (Filename.quote (from_test_dir "../bin/lcs_cli.exe"))
+             args (Filename.quote err))
+      in
+      let msg = read_file err in
+      Sys.remove err;
+      check Alcotest.int (args ^ ": exit code 2") 2 status;
+      List.iter
+        (fun sub -> check Alcotest.bool (args ^ ": stderr names " ^ sub) true (contains ~sub msg))
+        named)
+    [
+      ("graph info " ^ Filename.quote trunc, [ Filename.basename trunc; "truncated header" ]);
+      ( "graph info " ^ Filename.quote out_of_range,
+        [ Filename.basename out_of_range; "line 3: endpoint out of range" ] );
+      ("mst -g grid:4 --mode bogus", [ "bogus" ]);
+      ("export -g grid:4 --format bogus", [ "bogus" ]);
+    ];
+  Sys.remove trunc;
+  Sys.remove out_of_range
 
 let props =
   List.map QCheck_alcotest.to_alcotest
