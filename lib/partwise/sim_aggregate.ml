@@ -246,8 +246,8 @@ let minimum_outcome ?budget ?domains ?max_rounds ?obs ?tracer ?faults ?par_profi
       (fun v ->
         let st = states.(v) in
         let slot = slot_of st i in
-        if not (dead.(v) || (slot >= 0 && st.known.(slot) && st.best.(slot) = minima.(i)))
-        then bad := true)
+        let holds = slot >= 0 && st.known.(slot) && st.best.(slot) = minima.(i) in
+        if not (dead.(v) || holds) then bad := true)
       members;
     if !bad then begin
       diverged := i :: !diverged;

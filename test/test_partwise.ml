@@ -512,6 +512,16 @@ let pinned_routers_ktree_voronoi () =
     ]
     (router_fingerprint sc ~values)
 
+let routers_round_limit () =
+  let sc, values = grid12_rows () in
+  Alcotest.check_raises "packet router"
+    (Failure "Packet_router.route: round limit (disconnected shortcut subgraph?)") (fun () ->
+      ignore (Packet_router.route ~max_rounds:3 (Rng.create 31) sc ~values));
+  Alcotest.check_raises "tree router" (Failure "Tree_router: round limit") (fun () ->
+      ignore
+        (Tree_router.aggregate ~max_rounds:3 (Rng.create 32) sc ~values ~combine:( + )
+           ~identity:0))
+
 (* --- Schedule policies ------------------------------------------------------ *)
 
 let policies_all_correct () =
@@ -568,6 +578,7 @@ let suite =
     case "sim aggregate: budget exhausted raises" `Quick minimum_budget_exhausted;
     case "router: pinned grid rows" `Quick pinned_routers_grid_rows;
     case "router: pinned k-tree voronoi" `Quick pinned_routers_ktree_voronoi;
+    case "router: round limit raises" `Quick routers_round_limit;
     case "tree router: generic combine" `Quick tree_router_generic_combine;
     case "tree router: message economy" `Quick tree_router_message_economy;
     case "schedule: policies all correct" `Quick policies_all_correct;
