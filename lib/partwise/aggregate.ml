@@ -37,8 +37,9 @@ let instrumented obs tracer shortcut (run : Lcs_congest.Trace.tracer option -> o
           Pa_obs.record_epochs obs profile ~max_delay ~rounds:out.rounds;
           Obs.exit obs;
           let observed_rounds =
-            match Array.fold_left max 0 out.per_part_completion with 0 -> out.rounds | r -> r
+            Array.fold_left max 0 out.per_part_completion
           in
+          let observed_rounds = if observed_rounds > 0 then observed_rounds else out.rounds in
           Pa_obs.record_ledger obs profile ~congestion
             ~predicted_rounds:(bound ~congestion ~dilation ~n:(Graph.n host))
             ~observed_rounds;
