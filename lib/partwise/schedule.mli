@@ -42,12 +42,13 @@ val to_string : policy -> string
 
 (** {1 The serving loop}
 
-    {!Packet_router} and {!Tree_router} run on this one loop. Messages queue per edge-direction. Each round serves up to
-    [bandwidth] messages from every backlogged queue, by ascending part
-    priority and FIFO among equals, and only then applies the round's
-    arrivals, which may queue more. The queued payload ['a] is the
-    router's own entry. A part completes in the round its last member
-    learns its answer; the run ends when every part has. *)
+    {!Packet_router} and {!Tree_router} run on this one loop. Messages
+    queue per edge-direction. Each round serves up to [bandwidth]
+    messages from every backlogged queue, by ascending part priority and
+    FIFO among equals, and only then applies the round's arrivals, which
+    may queue more. The queued payload ['a] is the router's own entry. A
+    part completes in the round its last member learns its answer; the
+    run ends when every part has. *)
 
 type 'a queues
 (** The edge-direction queues and completion counts of one run. *)
