@@ -417,7 +417,6 @@ let curve name run =
                        ("parallel_s", Json.Float dec.Par_profile.d_parallel_s);
                        ("imbalance_s", Json.Float dec.Par_profile.d_imbalance_s);
                        ("barrier_s", Json.Float dec.Par_profile.d_barrier_s);
-                       ("serial_s", Json.Float dec.Par_profile.d_serial_s);
                        ("other_s", Json.Float dec.Par_profile.d_other_s);
                      ] );
                  ( "per_domain",

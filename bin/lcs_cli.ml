@@ -250,9 +250,10 @@ let domains_arg =
   let doc =
     "Split the enforced-simulator runs into $(docv) contiguous shards, one \
      per OCaml domain; the default 1 runs the same round loop on one \
-     shard. Every observable — results, stats, traces — is identical at \
-     any value; see README \"Running in parallel\" for when more domains \
-     actually help."
+     shard. Runs with --trace, --spans or --faults always take one shard, \
+     whatever $(docv) is. Every observable — results, stats, traces — is \
+     identical at any value; see README \"Running in parallel\" for when \
+     more domains actually help."
   in
   Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N" ~doc)
 
@@ -276,7 +277,9 @@ let par_profile_arg =
      times, cross-shard traffic matrix, round-by-round imbalance ratio, \
      speedup-loss decomposition) to $(docv). Attaching the profiler never \
      changes any observable; it composes with --spans, whose Perfetto \
-     export then carries one track per domain."
+     export then carries one track per domain. A traced or faulty run \
+     (--trace, --spans, --faults) runs on one shard and reports one \
+     domain."
   in
   Arg.(value & opt (some string) None
        & info [ "par-profile" ] ~docv:"PATH" ~doc)

@@ -107,13 +107,11 @@ let write_par_profile path pp =
       write_json path (Par_profile.to_json pp) ~describe:(fun () ->
           Printf.printf
             "par-profile: wrote %s (%d domains, %d rounds, imbalance %.2f; wall \
-             %.4fs = parallel %.4f + imbalance %.4f + barrier %.4f + serial %.4f \
-             + other %.4f)\n"
+             %.4fs = parallel %.4f + imbalance %.4f + barrier %.4f + other %.4f)\n"
             path (Par_profile.domains pp) (Par_profile.rounds pp)
             (Par_profile.imbalance pp) d.Par_profile.d_wall_s
             d.Par_profile.d_parallel_s d.Par_profile.d_imbalance_s
-            d.Par_profile.d_barrier_s d.Par_profile.d_serial_s
-            d.Par_profile.d_other_s)
+            d.Par_profile.d_barrier_s d.Par_profile.d_other_s)
 
 (* Tracing harness: a recorder + profile pair tee'd into one tracer, or
    nothing when the report does not need them. [mode] selects the

@@ -25,7 +25,6 @@ type decomposition = {
   d_parallel_s : float;
   d_imbalance_s : float;
   d_barrier_s : float;
-  d_serial_s : float;
   d_other_s : float;
 }
 
@@ -34,7 +33,6 @@ type row = {
   r_start : float;  (* seconds since [epoch] *)
   r_step_wall : float;
   r_deliver_wall : float;
-  r_serial : float;
   r_step : float array;  (* per shard; length = active shard count *)
   r_deliver : float array;
   r_msgs : int array;
@@ -54,7 +52,6 @@ type t = {
   mutable phase_t0 : float;
   mutable step_wall : float;
   mutable deliver_wall : float;
-  mutable serial_cur : float;
   mutable cur_step : float array;
   mutable cur_deliver : float array;
   mutable rnd_msgs : int array;
@@ -65,7 +62,6 @@ type t = {
   mutable tot_barrier : float array;
   mutable tot_msgs : int array;
   mutable tot_words : int array;
-  mutable serial_total : float;
   mutable tm : int array array;  (* traffic: messages, [src].(dst) *)
   mutable tw : int array array;  (* traffic: words *)
   mutable rows_rev : row list;
@@ -84,7 +80,6 @@ let create () =
     phase_t0 = 0.0;
     step_wall = 0.0;
     deliver_wall = 0.0;
-    serial_cur = 0.0;
     cur_step = [||];
     cur_deliver = [||];
     rnd_msgs = [||];
@@ -94,7 +89,6 @@ let create () =
     tot_barrier = [||];
     tot_msgs = [||];
     tot_words = [||];
-    serial_total = 0.0;
     tm = [||];
     tw = [||];
     rows_rev = [];
@@ -146,7 +140,6 @@ let round_start t =
   t.phase_t0 <- t.round_t0;
   t.step_wall <- 0.0;
   t.deliver_wall <- 0.0;
-  t.serial_cur <- 0.0;
   for s = 0 to t.active - 1 do
     t.cur_step.(s) <- 0.0;
     t.cur_deliver.(s) <- 0.0
@@ -161,7 +154,6 @@ let end_step t =
   t.phase_t0 <- n
 
 let end_deliver t = t.deliver_wall <- now () -. t.phase_t0
-let add_serial t v = t.serial_cur <- t.serial_cur +. v
 
 let record_send t ~src ~dst ~words =
   t.tm.(src).(dst) <- t.tm.(src).(dst) + 1;
@@ -187,14 +179,12 @@ let commit_round t ~round =
     t.rnd_msgs.(s) <- 0;
     t.rnd_words.(s) <- 0
   done;
-  t.serial_total <- t.serial_total +. t.serial_cur;
   t.rows_rev <-
     {
       r_round = round;
       r_start = t.round_t0 -. t.epoch;
       r_step_wall = t.step_wall;
       r_deliver_wall = t.deliver_wall;
-      r_serial = t.serial_cur;
       r_step = step;
       r_deliver = deliver;
       r_msgs = msgs;
@@ -258,8 +248,7 @@ let decomposition t =
     d_parallel_s = !parallel;
     d_imbalance_s = !imbal;
     d_barrier_s = !barrier;
-    d_serial_s = t.serial_total;
-    d_other_s = t.wall -. (!parallel +. !imbal +. !barrier +. t.serial_total);
+    d_other_s = t.wall -. (!parallel +. !imbal +. !barrier);
   }
 
 let imbalance t =
@@ -329,7 +318,6 @@ let to_json t =
             ("parallel_s", Json.Float d.d_parallel_s);
             ("imbalance_s", Json.Float d.d_imbalance_s);
             ("barrier_s", Json.Float d.d_barrier_s);
-            ("serial_s", Json.Float d.d_serial_s);
             ("other_s", Json.Float d.d_other_s);
           ] );
     ]
@@ -399,10 +387,6 @@ let chrome_events ?t0 t =
                  ~ts:(base +. r.r_step_wall +. r.r_deliver.(s))
                  ~dur:wait ~args:[ round_arg ])
         end
-      done;
-      if r.r_serial > 0.0 then
-        emit
-          (slice ~name:"serial replay" ~cat:"serial" ~tid:0 ~ts:(base +. r.r_step_wall)
-             ~dur:r.r_serial ~args:[ round_arg ]))
+      done)
     (rows t);
   header @ List.rev !events

@@ -7,11 +7,11 @@
     round it records the compute ("step") time, the delivery ("drain")
     time, the barrier-wait time, the messages and words sent, and a
     cross-shard traffic matrix keyed by (source shard, destination
-    shard); traced or faulty runs additionally record the serial-replay
-    time spent at the barrier. From those it derives a round-by-round
-    imbalance ratio (max shard busy-time / mean) and a speedup-loss
-    decomposition — imbalance vs barrier vs serialization — that sums to
-    the measured wall clock.
+    shard). From those it derives a round-by-round imbalance ratio (max
+    shard busy-time / mean) and a speedup-loss decomposition — parallel
+    work vs imbalance vs barrier — that sums to the measured wall clock.
+    Traced or faulty runs always execute on one shard, so their reports
+    show a single domain whatever [?domains] the run asked for.
 
     Determinism: recording is strictly single-writer — each domain
     writes only its own slots during a phase, rows are committed by the
@@ -68,14 +68,10 @@ val end_step : t -> unit
 val end_deliver : t -> unit
 (** Main domain, after the drain barrier: captures the phase wall. *)
 
-val add_serial : t -> float -> unit
-(** Serial-replay time spent at the barrier this round (traced / faulty
-    runs only; main domain). *)
-
 val record_send : t -> src:int -> dst:int -> words:int -> unit
 (** One delivered message of [words] words from shard [src] to shard
     [dst]. On the fast path the source domain writes its own matrix row;
-    on the serialized path the main domain records during replay. Counts
+    on a traced or faulty run the main domain records every send. Counts
     follow {!Simulator.stats}: duplicates count once per delivery,
     dropped or crashed-destination sends not at all — so the matrix
     row/column sums reconcile exactly with the run's stats. *)
@@ -120,15 +116,15 @@ type decomposition = {
   d_parallel_s : float;  (** sum over rounds of the mean shard busy time *)
   d_imbalance_s : float;  (** sum of (max busy - mean busy) *)
   d_barrier_s : float;  (** sum of (phase wall - max busy) *)
-  d_serial_s : float;  (** serial replay at the barrier (traced/faulty) *)
   d_other_s : float;  (** wall minus all of the above: loop bookkeeping *)
 }
 
 val decomposition : t -> decomposition
-(** Speedup-loss decomposition. The five buckets sum to [d_wall_s] by
-    construction; [d_other_s] is the unattributed residual (fault
-    scheduling, buffer swaps, commit overhead) and should stay within a
-    few percent of the wall on any non-trivial run. *)
+(** Speedup-loss decomposition,
+    [wall = parallel + imbalance + barrier + other]. The four buckets sum
+    to [d_wall_s] by construction; [d_other_s] is the unattributed
+    residual (fault scheduling, buffer swaps, commit overhead) and should
+    stay within a few percent of the wall on any non-trivial run. *)
 
 val imbalance : t -> float
 (** Time-weighted imbalance ratio: (sum over rounds of max shard busy)
@@ -146,9 +142,9 @@ val to_json : t -> Lcs_util.Json.t
 val chrome_events : ?t0:float -> t -> Lcs_util.Json.t list
 (** Chrome trace-event objects: one Perfetto track per domain (pid 0,
     tid = shard id) with "step" / "deliver" busy slices, "barrier" wait
-    slices, a "serial replay" slice on shard 0's track, and thread-name
-    metadata. Timestamps are microseconds relative to [t0] (default:
-    the collector's creation), so passing the [Obs] collector's epoch
+    slices and thread-name metadata. Timestamps are microseconds relative
+    to [t0] (default: the collector's creation), so passing the [Obs]
+    collector's epoch
     aligns the domain tracks with the span tree in one timeline. *)
 
 val epoch_s : t -> float

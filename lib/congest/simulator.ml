@@ -24,20 +24,13 @@
    - Shards are CONTIGUOUS id ranges and every domain walks its nodes in
      ascending order, so draining the outbox cells in source-shard order
      reproduces the global ascending-sender order at every inbox.
-   - Traced or faulty runs never consume shared sequential state (the id
-     counter, the fault injector's random stream, the tracer callback)
-     inside a worker: workers only buffer their nodes' outboxes (plus the
-     causal declarations, captured from each worker's own domain-local
-     Trace.Cause state in outbox order), and the main domain replays the
-     buffered sends in shard-merge order at the barrier — drawing ids,
-     fault verdicts and trace events in exactly the sequential order. On
-     one shard the compute phase runs on the main domain itself, which
-     processes each send in place instead.
+   - Traced or faulty runs consume sequential state (the id counter, the
+     fault injector's random stream, the tracer callback), so they always
+     run on one shard, whatever [domains] asks for: the compute phase
+     runs on the main domain, which processes each send in place, in
+     ascending-sender order.
 
-   With a tracer or a fault plan attached, only the protocol steps
-   parallelize (verdicts, ids and event emission serialize at the
-   barrier). The untraced fault-free path — the capacity workload — is
-   parallel end to end.
+   Only the untraced fault-free path — the capacity workload — shards.
 
    Any observable change must land here and in Simulator_ref together. *)
 
@@ -194,11 +187,9 @@ let make_crew size =
     stop = false;
   }
 
-let worker crew shard ~traced () =
-  (* Give this domain its own (domain-local) causal state: protocols
-     consult Trace.Cause during on_round, and each worker brackets its own
-     activations. The worker never draws ids — see the replay step. *)
-  Trace.Cause.start_run ~enabled:traced;
+(* Workers only ever run shards of untraced runs, so their domain-local
+   Trace.Cause state keeps its disabled default. *)
+let worker crew shard () =
   let seen = ref 0 in
   let running = ref true in
   while !running do
@@ -276,7 +267,12 @@ let outcome ?(domains = 1) ?(bandwidth = 1) ?(max_rounds = 100_000) ?tracer ?fau
   let n = Graph.n g in
   let csr = build_csr g in
   let ctxs = contexts csr n in
-  let bounds = shard_bounds ~domains g in
+  let traced = tracer <> None in
+  (* A tracer or an injector makes the run's observables depend on a
+     sequential resource (event order, the id counter, the random verdict
+     stream), so those runs take one shard and draw on it in place. *)
+  let serialized = traced || faults <> None in
+  let bounds = shard_bounds ~domains:(if serialized then 1 else domains) g in
   let d = Array.length bounds - 1 in
   let owner = Array.make (max 1 n) 0 in
   for s = 0 to d - 1 do
@@ -284,12 +280,6 @@ let outcome ?(domains = 1) ?(bandwidth = 1) ?(max_rounds = 100_000) ?tracer ?fau
       owner.(v) <- s
     done
   done;
-  let traced = tracer <> None in
-  (* A tracer or an injector makes the run's observables depend on a
-     sequential resource (event order, the id counter, the random verdict
-     stream); those runs draw on it from the main domain only, replaying
-     buffered sends at the barrier (or, on one shard, in place). *)
-  let serialized = traced || faults <> None in
   (* The run owns the ambient Cause state: ids restart at 1 and are drawn
      in trace-event order. *)
   Trace.Cause.start_run ~enabled:traced;
@@ -362,23 +352,18 @@ let outcome ?(domains = 1) ?(bandwidth = 1) ?(max_rounds = 100_000) ?tracer ?fau
   let maxload_s = Array.make d 0 in
   let live_delta = Array.make d 0 in
   (* Per-shard dirty budget slots, so the end-of-round clear is
-     O(messages), not O(ports); the serialized path charges every budget
-     on the main domain, through shard 0's list. *)
+     O(messages), not O(ports). *)
   let touched_s =
     Array.init d (fun s ->
-        if serialized && s > 0 then [||]
-        else
-          let ports =
-            if serialized then total_ports
-            else
-              Intvec.get csr.port_offset bounds.(s + 1) - Intvec.get csr.port_offset bounds.(s)
-          in
-          Array.make (max 1 ports) 0)
+        let ports =
+          Intvec.get csr.port_offset bounds.(s + 1) - Intvec.get csr.port_offset bounds.(s)
+        in
+        Array.make (max 1 ports) 0)
   in
   let ntouched = Array.make d 0 in
   (* --- per-domain profile shards (profiled, untraced, fault-free) -------- *)
   (* Profile aggregation is order-insensitive (sums, maxima, mergeable
-     sketches), so unlike event tracing it needs no serial replay: each
+     sketches), so unlike event tracing it can shard: each
      domain feeds its own shard through the event-free recording entry
      points and the shards merge — at flight-snapshot barriers and once at
      the end — into the caller's profile. Shard 0 is the caller's profile
@@ -498,7 +483,7 @@ let outcome ?(domains = 1) ?(bandwidth = 1) ?(max_rounds = 100_000) ?tracer ?fau
       Vec.clear cell.ob_msg
     done
   in
-  (* --- serialized path (traced and/or faulty): buffer, then replay ------ *)
+  (* --- serialized path (traced and/or faulty): one shard, in place ------ *)
   (* One delivered copy of a processed send: [i] is its index among the
      injector's copies (0 = the original, traced as Send; later ones are
      Duplicates), [delay] its extra latency. *)
@@ -556,8 +541,7 @@ let outcome ?(domains = 1) ?(bandwidth = 1) ?(max_rounds = 100_000) ?tracer ?fau
         ring.(at mod ring_span)
         { p_dst = w; p_port = back; p_id = id; p_src = v; p_edge = edge; p_words = size; p_msg = msg }
   in
-  (* Process one send on the main domain — replayed from a worker's
-     buffer, or in place on one shard — with its causal declaration
+  (* Process one send on the main domain, with its causal declaration
      passed in. Ids, verdicts and trace events are drawn here, in
      ascending-sender order. *)
   let process_send v port msg ~cparents ~cpart ~cphase =
@@ -611,35 +595,9 @@ let outcome ?(domains = 1) ?(bandwidth = 1) ?(max_rounds = 100_000) ?tracer ?fau
                         Trace.Drop { round = !rounds; src = v; dst = w; edge; words = size }
                     | Fault.Link_is_down -> Trace.Link_down { round = !rounds; edge })))
   in
-  let act_node = Array.init d (fun _ -> Vec.create ()) in
-  let act_sends = Array.init d (fun _ -> Vec.create ()) in
-  let act_halt = Array.init d (fun _ -> Vec.create ()) in
-  let snd_port = Array.init d (fun _ -> Vec.create ()) in
-  let snd_msg : 'msg Vec.t array = Array.init d (fun _ -> Vec.create ()) in
-  let snd_parents : int list Vec.t array = Array.init d (fun _ -> Vec.create ()) in
-  let snd_part = Array.init d (fun _ -> Vec.create ()) in
-  let snd_phase : string Vec.t array = Array.init d (fun _ -> Vec.create ()) in
-  let rec buffer_sends s outbox k =
-    match outbox with
-    | [] -> k
-    | (port, msg) :: rest ->
-        Vec.push snd_port.(s) port;
-        Vec.push snd_msg.(s) msg;
-        if traced then begin
-          (* Consume this worker's own causal declarations in outbox
-             order, once per outgoing message even when the network then
-             drops it — otherwise the per-port FIFO would drift at
-             bandwidth > 1. *)
-          let ps, part, phase = Trace.Cause.take ~port in
-          Vec.push snd_parents.(s) ps;
-          Vec.push snd_part.(s) part;
-          Vec.push snd_phase.(s) phase
-        end;
-        buffer_sends s rest (k + 1)
-  in
-  (* On one shard the compute phase runs on the main domain, which owns
-     the sequential resources, so sends are processed in place rather
-     than buffered for a replay. *)
+  (* Each send consumes its causal declaration in outbox order, even when
+     the network then drops it — otherwise the per-port FIFO would drift
+     at bandwidth > 1. *)
   let rec send_inline v outbox =
     match outbox with
     | [] -> ()
@@ -666,16 +624,10 @@ let outcome ?(domains = 1) ?(bandwidth = 1) ?(max_rounds = 100_000) ?tracer ?fau
           end;
           let state, outbox = program.on_round ctxs.(v) states.(v) ~inbox in
           states.(v) <- state;
-          let k = if d = 1 then (send_inline v outbox; 0) else buffer_sends s outbox 0 in
+          send_inline v outbox;
           if traced then Trace.Cause.deactivate ();
-          let halts = program.is_halted state in
-          if halts then halted.(v) <- true;
-          if d > 1 then begin
-            Vec.push act_node.(s) v;
-            Vec.push act_sends.(s) k;
-            Vec.push act_halt.(s) (if halts then 1 else 0)
-          end
-          else if halts then begin
+          if program.is_halted state then begin
+            halted.(v) <- true;
             decr live;
             match tracer with
             | None -> ()
@@ -687,53 +639,12 @@ let outcome ?(domains = 1) ?(bandwidth = 1) ?(max_rounds = 100_000) ?tracer ?fau
           Vec.clear msgs_v;
           if traced then Vec.clear (!cur_ids).(v)
         end
-      done
-    with exn -> fail.(s) <- Some (fail_node.(s), exn)
-  in
-  (* Replay the round's buffered activations in shard order, stopping
-     before node [upto]: a failed round replays only the senders a
-     sequential sweep would have reached before the failing node. *)
-  let replay_round ~upto =
-    for s = 0 to d - 1 do
-      let send_idx = ref 0 in
-      for a = 0 to Vec.length act_node.(s) - 1 do
-        let v = Vec.get act_node.(s) a in
-        if v < upto then begin
-          let k = Vec.get act_sends.(s) a in
-          for j = 0 to k - 1 do
-            let i = !send_idx + j in
-            let cparents, cpart, cphase =
-              if traced then
-                (Vec.get snd_parents.(s) i, Vec.get snd_part.(s) i, Vec.get snd_phase.(s) i)
-              else ([], -1, "")
-            in
-            process_send v (Vec.get snd_port.(s) i) (Vec.get snd_msg.(s) i) ~cparents ~cpart
-              ~cphase
-          done;
-          send_idx := !send_idx + k;
-          if Vec.get act_halt.(s) a = 1 then begin
-            decr live;
-            match tracer with
-            | None -> ()
-            | Some t -> t (Trace.Halt { round = !rounds; node = v })
-          end
-        end
       done;
-      Vec.clear act_node.(s);
-      Vec.clear act_sends.(s);
-      Vec.clear act_halt.(s);
-      Vec.clear snd_port.(s);
-      Vec.clear snd_msg.(s);
-      if traced then begin
-        Vec.clear snd_parents.(s);
-        Vec.clear snd_part.(s);
-        Vec.clear snd_phase.(s)
-      end
-    done;
-    for i = 0 to ntouched.(0) - 1 do
-      budget.(touched_s.(0).(i)) <- 0
-    done;
-    ntouched.(0) <- 0
+      for i = 0 to ntouched.(0) - 1 do
+        budget.(touched_s.(0).(i)) <- 0
+      done;
+      ntouched.(0) <- 0
+    with exn -> fail.(s) <- Some (fail_node.(s), exn)
   in
   (* A crashed node's pending delayed deliveries are discarded with it:
      each one is traced as a Drop and counted against the injector, in
@@ -786,7 +697,7 @@ let outcome ?(domains = 1) ?(bandwidth = 1) ?(max_rounds = 100_000) ?tracer ?fau
           Par_profile.set_deliver pp ~shard:s (Par_profile.now () -. t0)
   in
   let crew = make_crew d in
-  let handles = Array.init (d - 1) (fun i -> Domain.spawn (worker crew (i + 1) ~traced)) in
+  let handles = Array.init (d - 1) (fun i -> Domain.spawn (worker crew (i + 1))) in
   Fun.protect ~finally:(fun () -> shutdown crew handles) @@ fun () ->
   (match par_profile with None -> () | Some pp -> Par_profile.begin_run pp ~domains:d);
   (* A node with an empty inbox whose last round produced no messages would
@@ -838,17 +749,7 @@ let outcome ?(domains = 1) ?(bandwidth = 1) ?(max_rounds = 100_000) ?tracer ?fau
       (match par_profile with None -> () | Some pp -> Par_profile.round_start pp);
       run_phase crew compute_job;
       (match par_profile with None -> () | Some pp -> Par_profile.end_step pp);
-      let failure = first_failure () in
-      if serialized then begin
-        let upto = match failure with None -> n | Some (v, _) -> v in
-        match par_profile with
-        | None -> replay_round ~upto
-        | Some pp ->
-            let t0 = Par_profile.now () in
-            replay_round ~upto;
-            Par_profile.add_serial pp (Par_profile.now () -. t0)
-      end;
-      Option.iter (fun (_, exn) -> raise exn) failure;
+      Option.iter (fun (_, exn) -> raise exn) (first_failure ());
       if not serialized then begin
         for s = 0 to d - 1 do
           live := !live + live_delta.(s);
@@ -940,9 +841,9 @@ let run_profiled ?domains ?bandwidth ?max_rounds ?mode ?flight ?tracer ?faults ?
     program =
   let profile = Trace.Profile.create ?mode ~edges:(Graph.m g) () in
   (* A profile-only run keeps the parallel fast path with per-domain
-     profile shards. An external tracer or a fault plan serializes the
-     observables anyway, so the profile collects through the event
-     stream, teed ahead of the caller's tracer. *)
+     profile shards. An external tracer or a fault plan puts the run on
+     one shard anyway, so the profile collects through the event stream,
+     teed ahead of the caller's tracer. *)
   let tracer =
     match (tracer, faults) with
     | None, None -> None

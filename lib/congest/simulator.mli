@@ -134,7 +134,9 @@ val run :
     at the round boundary. Cross-shard messages travel through
     per-(source, destination) shard outboxes — each cell has exactly one
     writer and one reader, separated by the barrier, so the hot path
-    takes no locks.
+    takes no locks. Only untraced fault-free runs shard: a run with a
+    [tracer] or [faults] always executes on one shard, whatever
+    [domains] asks for.
 
     {b Determinism contract.} For every program, graph, seed and fault
     plan, a run is observationally {e identical} at every domain count:
@@ -142,17 +144,15 @@ val run :
     assignment, and fault verdicts all match the reference core
     {!Simulator_ref} byte for byte. Untraced fault-free runs get this
     from shard contiguity alone (draining outboxes in source-shard order
-    reproduces the ascending-sender order); traced or faulty runs buffer
-    sends in parallel and replay them serially at the barrier, drawing
-    ids, verdicts and events in exactly the sequential order (on one
-    shard, sends are processed in place, with no buffer). The
-    differential suite enforces both. See the "parallelism" documentation
-    page for the full execution model.
+    reproduces the ascending-sender order); traced or faulty runs get it
+    by running on one shard, where the main domain processes each send in
+    place and draws ids, verdicts and events in exactly the sequential
+    order. The differential suite enforces both. See the "parallelism"
+    documentation page for the full execution model.
 
     Sharding pays off on large graphs with fault-free, untraced runs — the
-    capacity workload. Tracing or fault injection serializes the
-    verdict/id/event step at the barrier, and tiny graphs are dominated by
-    barrier latency; both are better run on one domain.
+    capacity workload. Tiny graphs are dominated by barrier latency and
+    are better run on one domain.
 
     Runs that raise ([Bandwidth_exceeded], or an exception escaping
     [on_round]) raise the exception of the smallest offending node id, as
@@ -164,8 +164,8 @@ val run :
     per-domain step / deliver / barrier-wait times, message counts and
     the cross-shard traffic matrix, recorded per round. Attaching one
     never changes any observable (timing is recorded per domain and
-    merged at the barrier, never read by the simulator); on serialized
-    runs its decomposition additionally reports the serial-replay time. *)
+    merged at the barrier, never read by the simulator). A traced or
+    faulty run reports one shard. *)
 
 val run_profiled :
   ?domains:int ->
@@ -191,7 +191,7 @@ val run_profiled :
     end (and into a copy at each flight snapshot). In [Exact] mode the
     result is byte-identical to an event-fed collector at every domain
     count, and in [Sketch] mode at one domain — the differential suite
-    pins both. With a [?tracer] or [?faults] the run serializes as
+    pins both. With a [?tracer] or [?faults] the run takes one shard as
     {!run} describes and the profile collects through the event stream,
     teed in ahead of [tracer].
 
@@ -201,4 +201,4 @@ val run_profiled :
 
     [flight = (every, emit)] emits a {!Trace.Flight.snapshot} at each
     [every]-th round barrier, with one pending-delivery queue depth per
-    domain. *)
+    shard (a single one on a traced or faulty run). *)

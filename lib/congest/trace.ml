@@ -41,14 +41,11 @@ let tee tracers event = List.iter (fun t -> t event) tracers
 (* Ambient per-run state shared by the message sources (the simulator
    cores and the standalone part-wise routers). The state is {e
    domain-local} (one record per OCaml 5 domain, reached through a single
-   [Domain.DLS] key): the reference core and the routers live entirely on
-   one domain, while the simulator gives every worker domain its own
-   activation state —
-   each worker brackets its own nodes with [activate]/[take]/[deactivate]
-   and never touches another worker's declarations. Only the id [counter]
-   of the domain that called [start_run] is ever drawn from ([fresh_id]
-   is reserved to the merge step, which runs on one domain), so ids stay
-   a single per-run monotone sequence. When the run is untraced [enabled]
+   [Domain.DLS] key). Every traced run — reference core, routers, and the
+   simulator, which runs traced or faulty runs on one shard — lives on
+   the domain that called [start_run], so ids stay a single per-run
+   monotone sequence; the simulator's worker domains only step untraced
+   shards and keep the disabled default. When the run is untraced [enabled]
    stays false and every entry point is one DLS load and a branch — the
    untraced hot path allocates nothing here. *)
 module Cause = struct

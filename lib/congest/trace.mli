@@ -101,14 +101,13 @@ val event_of_json : Lcs_util.Json.t -> (event, string) result
     branch, no allocation) when the current run is untraced; guard any
     argument construction with {!enabled}.
 
-    The state is {e domain-local} ([Domain.DLS]): the reference core and
-    the standalone routers live on one domain, while under {!Simulator}
-    every worker domain brackets its own activations independently. Ids
-    remain one per-run monotone sequence because {!fresh_id} is only
-    ever drawn on the domain that called {!start_run} — the simulator
-    assigns ids at its deterministic shard-merge step, never inside a
-    worker (see the "parallelism" doc page for the full execution
-    model).
+    The state is {e domain-local} ([Domain.DLS]). Every traced run lives
+    on one domain — the reference core, the standalone routers, and
+    {!Simulator}, which runs traced or faulty runs on one shard — so ids
+    remain one per-run monotone sequence, drawn on the domain that
+    called {!start_run}. The simulator's worker domains only run
+    untraced shards, where the state keeps its disabled default (see the
+    "parallelism" doc page for the full execution model).
 
     The remaining functions are the source-side half of the contract and
     are only meant for simulator cores and router engines: {!start_run}

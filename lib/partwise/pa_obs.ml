@@ -23,28 +23,38 @@ let profiled obs tracer ~edges =
       (Some p, Some tracer)
 
 (* Emit one "pa.epoch" span per schedule epoch, carrying the window's
-   simulated rounds and traced words. Called while "pa.run" is still open
-   so the epochs nest under it (their wall-clock extent is an artifact —
-   the information is in rounds/words, like the paper's analysis). *)
+   simulated rounds and traced words, through the last epoch that holds a
+   round with traffic; the idle rounds after it go to "pa.run" in one
+   [add_rounds], so the rolled-up rounds still equal [rounds]. Called
+   while "pa.run" is still open so the epochs nest under it (their
+   wall-clock extent is an artifact — the information is in rounds/words,
+   like the paper's analysis). *)
 let record_epochs obs profile ~max_delay ~rounds =
   match profile with
   | None -> ()
   | Some p ->
       let curve = Trace.Profile.load_curve p in
+      let last_busy = ref 0 in
+      Array.iteri (fun i w -> if w > 0 && i < rounds then last_busy := i + 1) curve;
+      let covered = ref 0 in
       List.iteri
         (fun idx (first, last) ->
-          Obs.enter obs "pa.epoch";
-          Obs.note obs "epoch" (Obs.Int idx);
-          Obs.note obs "first_round" (Obs.Int first);
-          Obs.note obs "last_round" (Obs.Int last);
-          let words = ref 0 in
-          for r = first to last do
-            if r - 1 < Array.length curve then words := !words + curve.(r - 1)
-          done;
-          Obs.note obs "words" (Obs.Int !words);
-          Obs.add_rounds obs (last - first + 1);
-          Obs.exit obs)
-        (Schedule.epochs ~max_delay ~rounds)
+          if first <= !last_busy then begin
+            Obs.enter obs "pa.epoch";
+            Obs.note obs "epoch" (Obs.Int idx);
+            Obs.note obs "first_round" (Obs.Int first);
+            Obs.note obs "last_round" (Obs.Int last);
+            let words = ref 0 in
+            for r = first to last do
+              if r - 1 < Array.length curve then words := !words + curve.(r - 1)
+            done;
+            Obs.note obs "words" (Obs.Int !words);
+            Obs.add_rounds obs (last - first + 1);
+            Obs.exit obs;
+            covered := last
+          end)
+        (Schedule.epochs ~max_delay ~rounds);
+      Obs.add_rounds obs (rounds - !covered)
 
 (* Ledger entries against the open "pa" span: rounds vs the scheduling
    bound c + d·log n, and max per-edge traced words vs the shortcut's

@@ -55,20 +55,30 @@ let slot_of st part =
   in
   find 0
 
-let setup ?budget ~reliable rng shortcut ~values =
+(* [dilation] is [Some] exactly when the full quality measurement ran:
+   its exact per-part dilation is the costly part, so it runs only when it
+   sizes the budget (no [?budget]) or [with_dilation] asks for it. *)
+let setup ?budget ~with_dilation ~reliable rng shortcut ~values =
   let host = Shortcut.graph shortcut in
   let partition = Shortcut.partition shortcut in
   let k = Shortcut.k shortcut in
   let n = Graph.n host in
   if Array.length values <> n then invalid_arg "Sim_aggregate.minimum: values";
-  let r = Quality.measure shortcut in
+  let quality =
+    if budget = None || with_dilation then Some (Quality.measure shortcut) else None
+  in
+  let congestion =
+    match quality with
+    | Some r -> r.Quality.congestion
+    | None -> Quality.congestion shortcut
+  in
   let budget =
     match budget with
     | Some b -> b
     | None ->
+        let r = Option.get quality in
         let bound =
-          Aggregate.bound ~congestion:r.Quality.congestion
-            ~dilation:(max 1 (Quality.dilation_bound r)) ~n
+          Aggregate.bound ~congestion ~dilation:(max 1 (Quality.dilation_bound r)) ~n
         in
         (* The ARQ roughly triples per-hop latency (data + ack round
            trips), so the reliable path gets a proportionally larger
@@ -77,7 +87,7 @@ let setup ?budget ~reliable rng shortcut ~values =
   in
   let subgraphs = Subgraphs.of_shortcut shortcut in
   let delay =
-    Schedule.delays Schedule.Random_delay rng ~parts:k ~max_delay:r.Quality.congestion
+    Schedule.delays Schedule.Random_delay rng ~parts:k ~max_delay:congestion
   in
   (* For each vertex: the parts it serves (its slots, ascending) and, per
      slot, the ports that part's subgraph uses there. Port = index into the
@@ -182,22 +192,22 @@ let setup ?budget ~reliable rng shortcut ~values =
       msg_words = (fun _ -> 1);
     }
   in
-  (program, budget, r)
+  (program, budget, congestion, Option.map (fun r -> r.Quality.dilation) quality)
 
 (* --- Run and validate ------------------------------------------------------ *)
 
 let minimum_outcome ?budget ?domains ?max_rounds ?obs ?tracer ?faults ?par_profile
     ?(reliable = true) ?config rng shortcut ~values =
   Obs.span obs "pa" @@ fun () ->
-  let program, budget, r =
-    Obs.span obs "pa.setup" (fun () -> setup ?budget ~reliable rng shortcut ~values)
+  let program, budget, congestion, dilation =
+    Obs.span obs "pa.setup" (fun () ->
+        setup ?budget ~with_dilation:(obs <> None) ~reliable rng shortcut ~values)
   in
   let host = Shortcut.graph shortcut in
-  let congestion = r.Quality.congestion in
   let max_delay = max 1 congestion in
   Obs.note obs "budget" (Obs.Int budget);
   Obs.note obs "congestion" (Obs.Int congestion);
-  Obs.note obs "dilation" (Obs.Int r.Quality.dilation);
+  Option.iter (fun d -> Obs.note obs "dilation" (Obs.Int d)) dilation;
   Obs.note obs "max_delay" (Obs.Int max_delay);
   let profile, tracer = Pa_obs.profiled obs tracer ~edges:(Graph.m host) in
   let max_rounds =
@@ -259,9 +269,12 @@ let minimum_outcome ?budget ?domains ?max_rounds ?obs ?tracer ?faults ?par_profi
   let completion_round =
     Array.fold_left (fun acc st -> max acc st.last_improved) 0 states
   in
-  Pa_obs.record_ledger obs profile ~congestion
-    ~predicted_rounds:(Aggregate.bound ~congestion ~dilation:(max 1 r.Quality.dilation) ~n)
-    ~observed_rounds:completion_round;
+  Option.iter
+    (fun dilation ->
+      Pa_obs.record_ledger obs profile ~congestion
+        ~predicted_rounds:(Aggregate.bound ~congestion ~dilation:(max 1 dilation) ~n)
+        ~observed_rounds:completion_round)
+    dilation;
   let report = { minima; diverged; completion_round; ostats; retransmissions } in
   Outcome.classify report
     {

@@ -43,7 +43,8 @@ val minimum :
     {!Lcs_shortcut.Quality.dilation_bound}, certified even where a part is
     too large for exact dilation) — generous enough for the schedule
     bound, and the returned [completion_round] shows the real finish
-    time. Raises
+    time. With a [budget] and no [obs], dilation is not measured at all:
+    only the congestion, which sizes the random delays. Raises
     [Failure "Sim_aggregate: part did not converge within budget"] where
     {!minimum_outcome} would return [Degraded], i.e. when some part member
     does not hold its part's minimum at the end of the budget. [tracer]

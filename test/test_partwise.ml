@@ -305,10 +305,8 @@ let pinned_ktree_voronoi () =
     ]
     (pa_fingerprint sc ~values ~seed:22)
 
-(* The ARQ-wrapped program under plans/light_loss.json: Reliable.wrap holds
-   the PA state across retransmissions, so this pins the mutable state under
-   loss, duplication and reordering. *)
-let pinned_reliable_light_loss () =
+(* plans/light_loss.json with the 8x8 grid-rows shortcut it is pinned on. *)
+let light_loss_grid8 () =
   let plan =
     match
       Fault.load_plan
@@ -319,8 +317,15 @@ let pinned_reliable_light_loss () =
   in
   let g = Generators.grid ~rows:8 ~cols:8 in
   let partition = Partition.grid_rows g ~rows:8 ~cols:8 in
-  let sc = (Boost.full partition ~tree:(Bfs.tree g ~root:0)).Boost.shortcut in
-  let values = Array.init 64 (fun v -> (v * 7919) mod 10007) in
+  ( plan,
+    (Boost.full partition ~tree:(Bfs.tree g ~root:0)).Boost.shortcut,
+    Array.init 64 (fun v -> (v * 7919) mod 10007) )
+
+(* The ARQ-wrapped program under plans/light_loss.json: Reliable.wrap holds
+   the PA state across retransmissions, so this pins the mutable state under
+   loss, duplication and reordering. *)
+let pinned_reliable_light_loss () =
+  let plan, sc, values = light_loss_grid8 () in
   let outcome, digests =
     traced_run sc (fun tracer ->
         Sim_aggregate.minimum_outcome ~reliable:true ~tracer ~faults:(Fault.compile plan)
@@ -351,6 +356,37 @@ let pinned_reliable_light_loss () =
        stats_line r.Sim_aggregate.ostats;
      ]
     @ digests)
+
+(* The reliable light_loss run idles for thousands of rounds after its
+   last transmission. Its "pa.epoch" spans stop at the last epoch with
+   traffic, and the idle tail still counts in the rolled-up rounds. *)
+let epochs_end_at_traffic () =
+  let plan, sc, values = light_loss_grid8 () in
+  let obs = Obs.create () in
+  let rounds =
+    match
+      Sim_aggregate.minimum_outcome ~obs ~reliable:true ~faults:(Fault.compile plan)
+        (Rng.create 23) sc ~values
+    with
+    | Outcome.Complete r | Outcome.Degraded (r, _) -> r.Sim_aggregate.ostats.Simulator.rounds
+  in
+  let spans = Obs.spans obs in
+  let named name = List.filter (fun s -> s.Obs.name = name) spans in
+  let epochs = named "pa.epoch" in
+  let last =
+    List.fold_left (fun a s -> if s.Obs.id > a.Obs.id then s else a) (List.hd epochs) epochs
+  in
+  check Alcotest.bool "last epoch carries words" true
+    (match List.assoc "words" last.Obs.notes with Obs.Int w -> w > 0 | _ -> false);
+  check Alcotest.bool "idle epochs cut" true
+    (List.length epochs
+    < List.length
+        (Schedule.epochs ~max_delay:(max 1 (Quality.congestion sc)) ~rounds));
+  List.iter
+    (fun name ->
+      check Alcotest.int (name ^ " rounds = run rounds") rounds
+        (List.hd (named name)).Obs.rounds)
+    [ "pa"; "pa.run" ]
 
 (* [minimum] is the fault-free raw run of [minimum_outcome]: same answers,
    counts and event stream. *)
@@ -574,6 +610,7 @@ let suite =
     case "sim aggregate: pinned grid rows" `Quick pinned_grid_rows;
     case "sim aggregate: pinned k-tree voronoi" `Quick pinned_ktree_voronoi;
     case "sim aggregate: pinned reliable light loss" `Quick pinned_reliable_light_loss;
+    case "sim aggregate: epochs end at the last traffic" `Quick epochs_end_at_traffic;
     case "sim aggregate: raw outcome is minimum" `Quick raw_outcome_is_minimum;
     case "sim aggregate: budget exhausted raises" `Quick minimum_budget_exhausted;
     case "router: pinned grid rows" `Quick pinned_routers_grid_rows;

@@ -284,8 +284,9 @@ let diff_sharded_cross_shard =
 (* Both cores reject an over-budget send with the same exception payload.
    On the second host node 2 also raises, in the same round as node 0's
    overrun: the smaller node's offense must surface, as in the reference
-   core's sequential sweep — on the replay path too, where the overrun is
-   only detected after node 2's step has run. *)
+   core's sequential sweep — on the sharded fast path, where node 2 may
+   step on another domain before node 0's overrun surfaces, and on the
+   traced path, which runs on one shard at every requested count. *)
 let bandwidth_parity () =
   let program =
     {
@@ -312,9 +313,9 @@ let bandwidth_parity () =
     (fun g ->
       let expected = catch g (fun g p -> Simulator_ref.run g p) in
       check Alcotest.bool "reference raises" true (expected <> None);
-      (* The simulator raises the identical payload at every domain count —
-         both on the parallel fast path (untraced) and on the serialized
-         replay path (traced). *)
+      (* The simulator raises the identical payload at every requested
+         domain count — on the parallel fast path (untraced) and on the
+         one-shard traced path. *)
       List.iter
         (fun d ->
           check Alcotest.bool
@@ -322,7 +323,7 @@ let bandwidth_parity () =
             true
             (catch g (fun g p -> Simulator.run ~domains:d g p) = expected);
           check Alcotest.bool
-            (Printf.sprintf "replay path raises, n=%d domains=%d" (Graph.n g) d)
+            (Printf.sprintf "traced path raises, n=%d domains=%d" (Graph.n g) d)
             true
             (catch g (fun g p -> Simulator.run ~domains:d ~tracer:(fun _ -> ()) g p)
             = expected))
@@ -485,12 +486,14 @@ let run_profiled_parallel_bytes () =
         (Trace.Profile.total_words merged))
     [ 2; 4 ]
 
-(* Crash-at-round of a node whose pending delayed deliveries originate in
-   a DIFFERENT shard: for each swept domain count, the sender sits just
-   below the first shard boundary and the victim just above it, so the
-   in-flight traffic the purge must find was buffered by a foreign
-   domain. Observables must still match the serial oracle exactly, and
-   the purge must surface as Drop events at the crash round. *)
+(* Crash-at-round of a node whose pending delayed deliveries come from
+   across a shard boundary: for each swept domain count, the sender sits
+   just below the first boundary an untraced run at that count would cut,
+   and the victim just above it. A faulty run executes on one shard
+   whatever count it requests, so this pins that the requested count
+   never changes the purge: observables must match the serial oracle
+   exactly, and the purge must surface as Drop events at the crash
+   round. *)
 let cross_shard_crash_purge () =
   let n = 8 in
   let g = Generators.path n in
@@ -558,9 +561,11 @@ let cross_shard_crash_purge () =
    observable — the instrumented-vs-uninstrumented sweep of the
    observability acceptance criteria. At each swept domain count
    (including 1, whose single-shard timeline is the speedup baseline),
-   fault-free and under a fault plan, traced and untraced: identical results, identical trace event
-   sequences, byte-identical Exact-mode congestion profiles, identical
-   fault counters. *)
+   fault-free and under a fault plan, traced and untraced: identical
+   results, identical trace event sequences, byte-identical Exact-mode
+   congestion profiles, identical fault counters. The collector sees the
+   requested shard count only on untraced fault-free runs; a traced or
+   faulty run always executes on one shard. *)
 let par_profile_transparent () =
   let g = random_connected_graph 1312 ~n:28 ~extra:16 in
   let program = gossip ~pseed:2029 ~bw:2 in
@@ -583,10 +588,22 @@ let par_profile_transparent () =
       Option.map Fault.counts faults,
       par_profile )
   in
-  let untraced ~pp d =
+  let untraced ?plan ~pp d =
+    let faults = Option.map (fun p -> Fault.compile p) plan in
     let par_profile = if pp then Some (Par_profile.create ()) else None in
-    (Simulator.run_outcome ~domains:d ~bandwidth:2 ?par_profile g program,
+    (Simulator.run_outcome ~domains:d ~bandwidth:2 ?faults ?par_profile g program,
      par_profile)
+  in
+  let shards label expected = function
+    | None -> Alcotest.fail "collector missing"
+    | Some pp ->
+        check Alcotest.int
+          (Printf.sprintf "collector saw %d shards (%s)" expected label)
+          expected (Par_profile.domains pp);
+        check Alcotest.bool
+          (Printf.sprintf "collector recorded rounds (%s)" label)
+          true
+          (Par_profile.rounds pp > 0)
   in
   List.iter
     (fun d ->
@@ -601,23 +618,20 @@ let par_profile_transparent () =
           check Alcotest.string
             (Printf.sprintf "traced %s profile bytes, domains=%d" label d)
             p0 p1;
-          (match pp with
-          | None -> Alcotest.fail "collector missing"
-          | Some pp ->
-              check Alcotest.int
-                (Printf.sprintf "collector saw %d shards (%s)" d label)
-                d (Par_profile.domains pp);
-              check Alcotest.bool
-                (Printf.sprintf "collector recorded rounds (%s, domains=%d)"
-                   label d)
-                true
-                (Par_profile.rounds pp > 0)))
+          shards (Printf.sprintf "traced %s, domains=%d" label d) 1 pp)
         [ ("fault-free", None); ("faulty", Some plan) ];
       let r0, _ = untraced ~pp:false d in
-      let r1, _ = untraced ~pp:true d in
+      let r1, pp = untraced ~pp:true d in
       check Alcotest.bool
         (Printf.sprintf "untraced fast-path result, domains=%d" d)
-        true (same_result r0 r1))
+        true (same_result r0 r1);
+      shards (Printf.sprintf "untraced fault-free, domains=%d" d) d pp;
+      let r0, _ = untraced ~plan ~pp:false d in
+      let r1, pp = untraced ~plan ~pp:true d in
+      check Alcotest.bool
+        (Printf.sprintf "untraced faulty result, domains=%d" d)
+        true (same_result r0 r1);
+      shards (Printf.sprintf "untraced faulty, domains=%d" d) 1 pp)
     domain_counts
 
 (* The traffic matrix is an exact decomposition of the run's delivered
